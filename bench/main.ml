@@ -5,8 +5,6 @@
      EXPERIMENTS.md (T1–T10) by running the full protocol stack, the
      baselines and the substrate measurements.
    - [--table tN]: regenerate a single table.
-   - [--bechamel]: wall-clock micro-benchmarks, one [Test.make] per table
-     (the dominating kernel of each experiment).
    - [--json FILE]: coding-kernel micro-benchmarks (field mul, Lagrange
      evaluation, robust Reed–Solomon decoding at protocol sizes), written
      as machine-readable JSON (schema ks-bench/1) so the perf trajectory
@@ -16,8 +14,6 @@
      ([--enforce-baseline] turns the flag into a non-zero exit). *)
 
 module Experiments = Ks_workload.Experiments
-module Attacks = Ks_workload.Attacks
-module Inputs = Ks_workload.Inputs
 module Params = Ks_core.Params
 module Prng = Ks_stdx.Prng
 
@@ -47,116 +43,6 @@ let run_table = function
     (* Callers validate against [known_tables] first; keep a hard failure
        here so the two lists cannot silently drift apart. *)
     invalid_arg (Printf.sprintf "run_table: %S not in t1..t17" other)
-
-(* --- Bechamel micro-benchmarks: one kernel per table. --- *)
-
-let everywhere_kernel ~n ~scenario ~seed () =
-  let params = Params.practical n in
-  let rng = Prng.create seed in
-  let inputs = Inputs.generate rng ~n Inputs.Split in
-  let tree = Ks_topology.Tree.build (Prng.split rng) (Params.tree_config params) in
-  let budget = Attacks.budget_of scenario ~params in
-  Ks_core.Everywhere.run ~params ~seed ~inputs ~behavior:scenario.Attacks.behavior
-    ~tree_strategy:(Attacks.tree_strategy scenario ~params ~tree)
-    ~a2e_strategy:(fun ~carried ~coin ->
-      Attacks.a2e_strategy scenario ~params ~coin ~carried)
-    ~budget ()
-
-let ae_ba_kernel ~n ~seed () =
-  let params = Params.practical n in
-  let rng = Prng.create seed in
-  let inputs = Inputs.generate rng ~n Inputs.Split in
-  let tree = Ks_topology.Tree.build (Prng.split rng) (Params.tree_config params) in
-  let scenario = Attacks.byzantine_static in
-  Ks_core.Ae_ba.run ~params ~seed ~inputs ~behavior:scenario.Attacks.behavior
-    ~strategy:(Attacks.tree_strategy scenario ~params ~tree)
-    ~budget:(Attacks.budget_of scenario ~params) ()
-
-let aeba_coin_kernel ~n ~seed () =
-  let params = Params.practical n in
-  let rng = Prng.create seed in
-  let inputs = Inputs.generate rng ~n Inputs.Split in
-  Ks_core.Aeba_coin.run_standalone ~seed ~n ~degree:params.Params.aeba_degree
-    ~rounds:8 ~epsilon:params.Params.epsilon ~budget:(n / 4) ~inputs
-    ~strategy:(Attacks.vote_flipper Attacks.byzantine_static ~params)
-    ~coin:Ks_core.Aeba_coin.Ideal ()
-
-let a2e_kernel ~n ~seed () =
-  let params = Params.practical n in
-  let config = Ks_core.Ae_to_e.config_of_params params in
-  let net =
-    Ks_sim.Net.create ~label:"a2e" ~seed ~n ~budget:0
-      ~msg_bits:Ks_core.Ae_to_e.msg_bits
-      ~strategy:Ks_sim.Adversary.none ()
-  in
-  Ks_core.Ae_to_e.run ~net ~config
-    ~knows:(fun _ -> Some 1)
-    ~coin:(fun ~iteration _ -> Some (iteration mod config.Ks_core.Ae_to_e.labels))
-
-let shamir_kernel ~seed () =
-  let module Sh = Ks_shamir.Shamir.Make (Ks_field.Zp) in
-  let rng = Prng.create seed in
-  let shares = Sh.deal rng ~threshold:5 ~holders:16 (Ks_field.Zp.of_int 123) in
-  shares.(3) <- { shares.(3) with Sh.value = Ks_field.Zp.of_int 1 };
-  Sh.reconstruct_robust ~threshold:5 (Array.to_list shares)
-
-let bechamel_tests =
-  let open Bechamel in
-  [
-    Test.make ~name:"t1/t10: everywhere BA, n=32, 25% byz"
-      (Staged.stage (everywhere_kernel ~n:32 ~scenario:Attacks.byzantine_static ~seed:1L));
-    Test.make ~name:"t2: rabin all-to-all, n=256"
-      (Staged.stage (fun () ->
-           Ks_baselines.Rabin.run ~seed:1L ~n:256 ~budget:64 ~rounds:16 ~epsilon:0.08
-             ~inputs:(Array.init 256 (fun i -> i mod 2 = 0))
-             ~strategy:Ks_sim.Adversary.crash_random));
-    Test.make ~name:"t3: almost-everywhere BA, n=32"
-      (Staged.stage (ae_ba_kernel ~n:32 ~seed:2L));
-    Test.make ~name:"t4: algorithm 5, n=256, 8 rounds"
-      (Staged.stage (aeba_coin_kernel ~n:256 ~seed:3L));
-    Test.make ~name:"t5: feige election, r=256"
-      (Staged.stage (fun () ->
-           let rng = Prng.create 4L in
-           let bins = Array.init 256 (fun _ -> Prng.int rng 32) in
-           Ks_core.Election.winner_indices ~num_bins:32 ~target:8 bins));
-    Test.make ~name:"t6: almost-everywhere-to-everywhere, n=256"
-      (Staged.stage (a2e_kernel ~n:256 ~seed:5L));
-    Test.make ~name:"t7: shamir robust reconstruct (16,6)+err"
-      (Staged.stage (shamir_kernel ~seed:6L));
-    Test.make ~name:"t8: sampler build r=s=1024 d=16"
-      (Staged.stage (fun () ->
-           Ks_sampler.Sampler.create (Prng.create 7L) ~r:1024 ~s:1024 ~d:16));
-    Test.make ~name:"t9: everywhere BA at the threshold, n=32, 33%"
-      (Staged.stage (fun () ->
-           everywhere_kernel ~n:32 ~scenario:Attacks.byzantine_static ~seed:8L ()));
-  ]
-
-let run_bechamel () =
-  let open Bechamel in
-  let open Toolkit in
-  let cfg = Benchmark.cfg ~limit:20 ~quota:(Time.second 5.0) ~kde:None () in
-  let analysis = Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| "run" |] in
-  Printf.printf "\n== Bechamel micro-benchmarks (one kernel per table) ==\n";
-  Printf.printf "%-50s %16s\n" "kernel" "time/run";
-  List.iter
-    (fun test ->
-      List.iter
-        (fun elt ->
-          let raw = Benchmark.run cfg Instance.[ monotonic_clock ] elt in
-          let ols = Analyze.one analysis Instance.monotonic_clock raw in
-          match Analyze.OLS.estimates ols with
-          | Some (t :: _) ->
-            let human =
-              if t > 1e9 then Printf.sprintf "%.2f s" (t /. 1e9)
-              else if t > 1e6 then Printf.sprintf "%.2f ms" (t /. 1e6)
-              else if t > 1e3 then Printf.sprintf "%.2f us" (t /. 1e3)
-              else Printf.sprintf "%.0f ns" t
-            in
-            Printf.printf "%-50s %16s\n%!" (Test.Elt.name elt) human
-          | Some [] | None ->
-            Printf.printf "%-50s %16s\n%!" (Test.Elt.name elt) "n/a")
-        (Test.elements test))
-    bechamel_tests
 
 (* --- Coding-kernel micro-benchmarks with machine-readable output. ---
 
@@ -268,6 +154,16 @@ end
 
 type kernel_result = { name : string; ns_per_op : float; words_per_op : float }
 
+(* Minor-heap words per call, counted over a batch of calls.  The kernels
+   are deterministic, so the count is exact and repeats run to run. *)
+let words_per_call fn =
+  let calls = 1000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    fn ()
+  done;
+  (Gc.minor_words () -. before) /. float_of_int calls
+
 let measure_kernels ~quick =
   let open Bechamel in
   let open Toolkit in
@@ -278,20 +174,13 @@ let measure_kernels ~quick =
     (fun (name, fn) ->
       let test = Test.make ~name (Staged.stage fn) in
       let elt = List.hd (Test.elements test) in
-      let raw = Benchmark.run cfg Instance.[ minor_allocated; monotonic_clock ] elt in
-      let est instance =
-        let ols = Analyze.one analysis instance raw in
-        match Analyze.OLS.estimates ols with
+      let raw = Benchmark.run cfg Instance.[ monotonic_clock ] elt in
+      let ns_per_op =
+        match Analyze.OLS.estimates (Analyze.one analysis Instance.monotonic_clock raw) with
         | Some (v :: _) -> v
         | Some [] | None -> Float.nan
       in
-      let r =
-        {
-          name;
-          ns_per_op = est Instance.monotonic_clock;
-          words_per_op = est Instance.minor_allocated;
-        }
-      in
+      let r = { name; ns_per_op; words_per_op = words_per_call fn } in
       Printf.printf "%-32s %12.0f ns/op %12.0f w/op\n%!" r.name r.ns_per_op
         r.words_per_op;
       r)
@@ -407,7 +296,7 @@ let run_json ~quick ~json ~baseline ~enforce =
 
 let usage_and_exit () =
   prerr_endline
-    "usage: main.exe [--quick | --table tN | --bechamel | --json FILE] [--trace FILE]";
+    "usage: main.exe [--quick | --table tN | --json FILE] [--trace FILE]";
   prerr_endline "                [--baseline FILE] [--enforce-baseline]";
   Printf.eprintf "  tables: %s\n" (String.concat " " known_tables);
   prerr_endline "  --json FILE: coding-kernel microbenchmarks as ks-bench/1 JSON";
@@ -482,7 +371,6 @@ let () =
     in
     (* Exactly one mode; anything unrecognised is an error, not a no-op. *)
     (match args with
-     | [ "--bechamel" ] -> run_bechamel ()
      | [ "--table" ] ->
        prerr_endline "bench: --table requires a table name";
        usage_and_exit ()
@@ -495,7 +383,7 @@ let () =
      | [ "--quick" ] -> Experiments.run_all ~quick:true ?trace ()
      | [] -> Experiments.run_all ?trace ()
      | args ->
-       let known a = List.mem a [ "--quick"; "--bechamel"; "--table" ] in
+       let known a = List.mem a [ "--quick"; "--table" ] in
        (match List.find_opt (fun a -> not (known a)) args with
         | Some unknown when String.length unknown > 0 && unknown.[0] = '-' ->
           Printf.eprintf "bench: unknown option %s\n" unknown

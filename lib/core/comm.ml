@@ -71,10 +71,9 @@ let read_words r =
 let encode_payload payload =
   let w = W.create () in
   (match payload with
-   | Deal { cand; inst; words } ->
-     W.byte w 0; W.varint w cand; W.varint w inst; write_words w words
-   | Share_up { cand; inst; words } ->
-     W.byte w 1; W.varint w cand; W.varint w inst; write_words w words
+   | (Deal { cand; inst; words } | Share_up { cand; inst; words }) as p ->
+     W.byte w (match p with Deal _ -> 0 | _ -> 1);
+     W.varint w cand; W.varint w inst; write_words w words
    | Share_down { cand; level; node; inst; off; words } ->
      W.byte w 2; W.varint w cand; W.varint w level; W.varint w node;
      W.varint w inst; W.varint w off; write_words w words
@@ -93,14 +92,11 @@ let encode_payload payload =
 let decode_payload data =
   Ks_stdx.Wire.decode data (fun r ->
       match R.byte r with
-      | 0 ->
+      | (0 | 1) as tag ->
         let cand = R.varint r in
         let inst = R.varint r in
-        Deal { cand; inst; words = read_words r }
-      | 1 ->
-        let cand = R.varint r in
-        let inst = R.varint r in
-        Share_up { cand; inst; words = read_words r }
+        let words = read_words r in
+        if tag = 0 then Deal { cand; inst; words } else Share_up { cand; inst; words }
       | 2 ->
         let cand = R.varint r in
         let level = R.varint r in
@@ -211,7 +207,7 @@ type t = {
   garbage_rng : Prng.t;
   (* Graceful degradation: robust-decode failures are detected (counted)
      rather than silently dropped, and may trigger up to [max_retries]
-     re-request rounds each (see [settle]). *)
+     re-request rounds each (see [hop]). *)
   max_retries : int;
   mutable decode_failures : int;
   mutable retries_used : int;
@@ -289,7 +285,9 @@ let held_value t ~cand ~inst =
 
 let node_of t ~cand ~level = Tree.leaf_ancestor t.tree ~leaf:cand ~level
 
-let is_corrupt t p = Ks_sim.Net.is_corrupt t.net p
+(* The member of [node] holding instance [inst] of [level]. *)
+let holder t ~level ~node ~inst =
+  (Tree.members t.tree ~level ~node).(Structure.pos t.structure ~level ~inst)
 
 (* What a corrupted holder puts on the wire in place of [words].  Only
    [Equivocate] looks at the destination: it tells a different (but
@@ -307,24 +305,12 @@ let corrupt_words t ~dst words =
     let delta = if dst land 1 = 0 then Zp.one else Zp.add Zp.one Zp.one in
     Some (Array.map (fun w -> Zp.add w delta) words)
 
-(* Route a message: direct for good senders, via the adversary queue for
-   corrupted ones (with the behavior policy applied to the payload). *)
-let route t ~src ~dst ~(payload_of : word array -> payload) words good_acc =
-  if is_corrupt t src then begin
-    match corrupt_words t ~dst words with
-    | None -> good_acc
-    | Some w ->
-      queue_adversarial t [ { src; dst; payload = payload_of w } ];
-      good_acc
-  end
-  else { src; dst; payload = payload_of (Array.copy words) } :: good_acc
-
 (* --- Hardened acceptance ------------------------------------------------
 
    [admit] is the single gate every share-carrying payload passes before
-   a handler may use it, called only after the handler's route-legitimacy
-   checks (right identifier ranges, right sender for the slot, right
-   recipient) have succeeded — so a failure here is *provable*
+   a hop may use it, called only after the hop's route-legitimacy checks
+   (right identifier ranges, right sender for the slot, right recipient)
+   have succeeded — so a failure here is *provable*
    misbehaviour by the sender, not a routing accident, and earns it a
    place on the accuser's quarantine list:
 
@@ -340,12 +326,7 @@ let route t ~src ~dst ~(payload_of : word array -> payload) words good_acc =
    With quarantine off the gate degrades to exactly the pre-hardening
    length check: no evidence, no events, no rejections beyond length. *)
 
-let words_equal a b =
-  Array.length a = Array.length b
-  &&
-  (let ok = ref true in
-   Array.iteri (fun i w -> if b.(i) <> w then ok := false) a;
-   !ok)
+let words_equal a b = Array.length a = Array.length b && Array.for_all2 Int.equal a b
 
 let accuse t ~accuser ~offender ~evidence ~info =
   (* A processor never quarantines itself: a corrupt sender that is also
@@ -358,10 +339,11 @@ let accuse t ~accuser ~offender ~evidence ~info =
     Ks_sim.Net.quarantine t.net ~accuser ~offender ~evidence ~info
   end
 
-let admit t ~witness ~accuser ~src ~key ~slot ~expected_len words =
-  if not t.quarantine_on then Array.length words = expected_len
+let admit t ~witness accuser e key ~slot ~len words =
+  let src = e.src in
+  if not t.quarantine_on then Array.length words = len
   else if Hashtbl.mem t.quarantined.(accuser) src then false
-  else if Array.length words <> expected_len then begin
+  else if Array.length words <> len then begin
     accuse t ~accuser ~offender:src ~evidence:"wrong_length"
       ~info:(Array.length words);
     false
@@ -408,55 +390,119 @@ let word_majority vectors =
     done;
     Some out
 
+(* --- The share hop -----------------------------------------------------
+
+   All five share payloads (Deal, Share_up, Share_down, Leaf_val,
+   Open_val) move one hop along tree links the same way (§3.2.3).
+   [sends send] lists the shares; [send] routes each one, direct for good
+   senders, via the adversary queue under the behavior policy for
+   corrupted ones.  After one [exchange], [accept p e admit] checks the
+   route of each envelope [e] delivered to [p] (identifier ranges,
+   expected sender and recipient) and only then calls [admit p e key
+   ~slot ~len words], aggregating [words] when it returns true.
+
+   [decode ()] returns the result and the number of keys that failed (0
+   for hops that do not decode).  While keys fail, at most [max_retries]
+   times, the same exchange is re-run — under a benign-fault plan, shares
+   lost to omission get fresh delivery draws — and everything is decoded
+   again; failures left are counted as detected degradation. *)
+let hop t ~sends ~accept ~decode =
+  let msgs = ref [] in
+  sends (fun ~src ~dst ~payload_of words ->
+      if not (Ks_sim.Net.is_corrupt t.net src) then
+        msgs := { src; dst; payload = payload_of (Array.copy words) } :: !msgs
+      else
+        match corrupt_words t ~dst words with
+        | Some w -> queue_adversarial t [ { src; dst; payload = payload_of w } ]
+        | None -> ());
+  let msgs = !msgs in
+  let admit = admit t ~witness:(Hashtbl.create 1024) in
+  let collect inboxes =
+    Array.iteri (fun p inbox -> List.iter (fun e -> accept p e admit) inbox) inboxes
+  in
+  let rec settle attempt =
+    let result, failed = decode () in
+    if failed = 0 || attempt >= t.max_retries then begin
+      t.decode_failures <- t.decode_failures + failed;
+      result
+    end
+    else begin
+      t.retries_used <- t.retries_used + 1;
+      collect (exchange t msgs);
+      settle (attempt + 1)
+    end
+  in
+  collect (exchange t msgs);
+  settle 0
+
+(* Keep the first piece per evaluation point [x] under [key]. *)
+let add_piece pieces key x words =
+  let existing = Option.value ~default:[] (Hashtbl.find_opt pieces key) in
+  if not (List.mem_assoc x existing) then Hashtbl.replace pieces key ((x, words) :: existing)
+
+(* Robust-decode each key's pieces, in key order: the decoded values and
+   the number of keys that failed. *)
+let decode_pieces ~threshold pieces =
+  let decoded = Hashtbl.create 1024 in
+  let failed = ref 0 in
+  Ks_stdx.Dtbl.iter_sorted ~cmp:Ks_stdx.Dtbl.triple_cmp
+    (fun key holder_pieces ->
+      match
+        Sh.reconstruct_vectors ~failures:failed ~threshold:(threshold key) holder_pieces
+      with
+      | Some v -> Hashtbl.replace decoded key v
+      | None -> ())
+    pieces;
+  (decoded, !failed)
+
+let push tbl key v =
+  Hashtbl.replace tbl key (v :: Option.value ~default:[] (Hashtbl.find_opt tbl key))
+
+(* [f key v] for each key, in key order, whose vectors have a word
+   majority [v]. *)
+let majorities ~cmp tbl f =
+  Ks_stdx.Dtbl.iter_sorted ~cmp
+    (fun key vectors -> match word_majority vectors with Some v -> f key v | None -> ())
+    tbl
+
+(* Deal and Share_up keep the first admitted share of each instance. *)
+let keep t admit p e held cand inst words =
+  if admit p e (cand, inst) ~slot:inst ~len:t.vec_len.(cand) words && held.(inst) = None
+  then held.(inst) <- Some words
+
 let deal_all t ~arrays =
   let n = t.params.Params.n in
   if Array.length arrays <> n then invalid_arg "Comm.deal_all: need one array per processor";
   let k1 = Tree.node_size t.tree ~level:1 in
   let t1 = Params.share_threshold t.params ~holders:k1 in
-  let msgs = ref [] in
-  for c = 0 to n - 1 do
-    t.vec_len.(c) <- Array.length arrays.(c);
-    let leaf_members = Tree.members t.tree ~level:1 ~node:c in
-    let per_holder =
-      Sh.deal_vector (Ks_sim.Net.proc_rng t.net c) ~threshold:t1 ~holders:k1
-        arrays.(c)
-    in
-    for h = 0 to k1 - 1 do
-      let words = Array.map (fun s -> s.Sh.value) per_holder.(h) in
-      msgs :=
-        route t ~src:c ~dst:leaf_members.(h)
-          ~payload_of:(fun words -> Deal { cand = c; inst = h; words })
-          words !msgs
-    done
-  done;
-  let inboxes = exchange t !msgs in
-  Array.iter
-    (fun st ->
-      st.live_level <- 1;
-      st.held <- Array.make k1 None)
-    t.cands;
-  let witness = Hashtbl.create 64 in
-  Array.iteri
-    (fun p inbox ->
-      List.iter
-        (fun e ->
-          match e.payload with
-          | Deal { cand; inst; words }
-            when cand >= 0 && cand < n && inst >= 0 && inst < k1
-                 && e.src = cand
-                 && (Tree.members t.tree ~level:1 ~node:cand).(inst) = p ->
-            if
-              admit t ~witness ~accuser:p ~src:e.src ~key:(cand, inst) ~slot:inst
-                ~expected_len:t.vec_len.(cand) words
-              && t.cands.(cand).held.(inst) = None
-            then t.cands.(cand).held.(inst) <- Some words
-          | _ -> ())
-        inbox)
-    inboxes
+  hop t ~decode:(fun () -> ((), 0))
+    ~sends:(fun send ->
+      for c = 0 to n - 1 do
+        t.vec_len.(c) <- Array.length arrays.(c);
+        t.cands.(c).live_level <- 1;
+        t.cands.(c).held <- Array.make k1 None;
+        let leaf_members = Tree.members t.tree ~level:1 ~node:c in
+        let per_holder =
+          Sh.deal_vector (Ks_sim.Net.proc_rng t.net c) ~threshold:t1 ~holders:k1
+            arrays.(c)
+        in
+        for h = 0 to k1 - 1 do
+          send ~src:c ~dst:leaf_members.(h)
+            ~payload_of:(fun words -> Deal { cand = c; inst = h; words })
+            (Array.map (fun s -> s.Sh.value) per_holder.(h))
+        done
+      done)
+    ~accept:(fun p e admit ->
+      match e.payload with
+      | Deal { cand; inst; words }
+        when cand >= 0 && cand < n && inst >= 0 && inst < k1 && e.src = cand
+             && (Tree.members t.tree ~level:1 ~node:cand).(inst) = p ->
+        keep t admit p e t.cands.(cand).held cand inst words
+      | _ -> ())
 
 let reshare_up t ~cands ~drop =
-  match cands with
-  | [] -> List.iter (fun c -> t.cands.(c).live_level <- -1; t.cands.(c).held <- [||]) drop
+  (match cands with
+  | [] -> ()
   | first :: _ ->
     let lvl = t.cands.(first).live_level in
     List.iter
@@ -467,108 +513,59 @@ let reshare_up t ~cands ~drop =
     if lvl < 1 then invalid_arg "Comm.reshare_up: candidate not live";
     let next = lvl + 1 in
     if next > Tree.levels t.tree then invalid_arg "Comm.reshare_up: already at root";
-    let cand_set = Hashtbl.create 64 in
-    List.iter (fun c -> Hashtbl.replace cand_set c ()) cands;
     let count_cur = Structure.count t.structure ~level:lvl in
     let count_next = Structure.count t.structure ~level:next in
-    let msgs = ref [] in
-    List.iter
-      (fun c ->
-        let st = t.cands.(c) in
-        let cur_members = Tree.members t.tree ~level:lvl ~node:(node_of t ~cand:c ~level:lvl) in
-        let parent_members =
-          Tree.members t.tree ~level:next ~node:(node_of t ~cand:c ~level:next)
-        in
-        for inst = 0 to count_cur - 1 do
-          match st.held.(inst) with
-          | None -> ()
-          | Some v ->
-            let p = Structure.pos t.structure ~level:lvl ~inst in
-            let holder = cur_members.(p) in
-            let xs = Tree.uplinks t.tree ~level:lvl ~member:p in
-            let children = Structure.children t.structure ~level:lvl ~inst in
-            let th = Params.share_threshold t.params ~holders:(Array.length xs) in
-            let per_holder =
-              Sh.deal_vector_at (Ks_sim.Net.proc_rng t.net holder) ~threshold:th ~xs v
-            in
-            Array.iteri
-              (fun j words ->
-                let inst' = children.(j) in
-                msgs :=
-                  route t ~src:holder ~dst:parent_members.(xs.(j))
-                    ~payload_of:(fun words -> Share_up { cand = c; inst = inst'; words })
-                    words !msgs)
-              per_holder
-        done)
-      cands;
-    let inboxes = exchange t !msgs in
     let fresh = Hashtbl.create 64 in
     List.iter (fun c -> Hashtbl.replace fresh c (Array.make count_next None)) cands;
-    let witness = Hashtbl.create 64 in
-    Array.iteri
-      (fun p inbox ->
+    hop t ~decode:(fun () -> ((), 0))
+      ~sends:(fun send ->
         List.iter
-          (fun e ->
-            match e.payload with
-            | Share_up { cand; inst; words }
-              when Hashtbl.mem cand_set cand && inst >= 0 && inst < count_next ->
-              let held = Hashtbl.find fresh cand in
-              let ppos = Structure.pos t.structure ~level:next ~inst in
-              let parent_inst = Structure.parent t.structure ~level:next ~inst in
-              let cur_node = node_of t ~cand ~level:lvl in
-              let parent_node = node_of t ~cand ~level:next in
-              let expected_dst =
-                (Tree.members t.tree ~level:next ~node:parent_node).(ppos)
-              in
-              let expected_src =
-                (Tree.members t.tree ~level:lvl ~node:cur_node).(Structure.pos
-                                                                   t.structure
-                                                                   ~level:lvl
-                                                                   ~inst:parent_inst)
-              in
-              if
-                expected_dst = p && expected_src = e.src
-                && admit t ~witness ~accuser:p ~src:e.src ~key:(cand, inst)
-                     ~slot:inst ~expected_len:t.vec_len.(cand) words
-                && held.(inst) = None
-              then held.(inst) <- Some words
-            | _ -> ())
-          inbox)
-      inboxes;
+          (fun c ->
+            let node = node_of t ~cand:c ~level:lvl in
+            let parent_members =
+              Tree.members t.tree ~level:next ~node:(node_of t ~cand:c ~level:next)
+            in
+            for inst = 0 to count_cur - 1 do
+              match t.cands.(c).held.(inst) with
+              | None -> ()
+              | Some v ->
+                let p = Structure.pos t.structure ~level:lvl ~inst in
+                let sender = holder t ~level:lvl ~node ~inst in
+                let xs = Tree.uplinks t.tree ~level:lvl ~member:p in
+                let children = Structure.children t.structure ~level:lvl ~inst in
+                let th = Params.share_threshold t.params ~holders:(Array.length xs) in
+                let per_holder =
+                  Sh.deal_vector_at (Ks_sim.Net.proc_rng t.net sender) ~threshold:th ~xs v
+                in
+                Array.iteri
+                  (fun j words ->
+                    let inst' = children.(j) in
+                    send ~src:sender ~dst:parent_members.(xs.(j))
+                      ~payload_of:(fun words -> Share_up { cand = c; inst = inst'; words })
+                      words)
+                  per_holder
+            done)
+          cands)
+      ~accept:(fun p e admit ->
+        match e.payload with
+        | Share_up { cand; inst; words }
+          when Hashtbl.mem fresh cand && inst >= 0 && inst < count_next ->
+          let parent_inst = Structure.parent t.structure ~level:next ~inst in
+          if
+            holder t ~level:next ~node:(node_of t ~cand ~level:next) ~inst = p
+            && holder t ~level:lvl ~node:(node_of t ~cand ~level:lvl) ~inst:parent_inst = e.src
+          then keep t admit p e (Hashtbl.find fresh cand) cand inst words
+        | _ -> ());
     List.iter
       (fun c ->
-        let st = t.cands.(c) in
-        st.live_level <- next;
-        st.held <- Hashtbl.find fresh c)
-      cands;
-    List.iter
-      (fun c ->
-        t.cands.(c).live_level <- -1;
-        t.cands.(c).held <- [||])
-      drop
-
-(* Bounded re-request: when robust decoding failed for some keys, re-run
-   the same exchange — the good senders resend their shares, which under
-   a benign-fault plan gives fresh delivery draws, so shares lost to
-   omission can get through — merge the newly arrived pieces, and decode
-   again.  [decode ()] re-decodes the accumulated pieces and returns the
-   result table with the number of keys still failing; [collect] folds
-   one more round of inboxes into those pieces.  Failures left once the
-   retry budget is spent are counted as detected degradation, exactly
-   where the old code silently dropped them.  With [max_retries = 0]
-   (the default) behaviour is bit-identical to no fault handling at all:
-   one decode, no extra rounds, no extra randomness. *)
-let rec settle t ~msgs ~collect ~decode ~attempt =
-  let next, failed = decode () in
-  if failed = 0 || attempt >= t.max_retries then begin
-    t.decode_failures <- t.decode_failures + failed;
-    next
-  end
-  else begin
-    t.retries_used <- t.retries_used + 1;
-    collect (exchange t msgs);
-    settle t ~msgs ~collect ~decode ~attempt:(attempt + 1)
-  end
+        t.cands.(c).live_level <- next;
+        t.cands.(c).held <- Hashtbl.find fresh c)
+      cands);
+  List.iter
+    (fun c ->
+      t.cands.(c).live_level <- -1;
+      t.cands.(c).held <- [||])
+    drop
 
 let open_ranges_view t ~level ~ranges =
   if level < 2 then invalid_arg "Comm.open_ranges_view: level must be >= 2";
@@ -579,249 +576,152 @@ let open_ranges_view t ~level ~ranges =
         invalid_arg "Comm.open_ranges_view: candidate not live at this level";
       if off < 0 || len < 1 || off + len > t.vec_len.(c) then
         invalid_arg "Comm.open_ranges_view: bad range";
+      if Hashtbl.mem range_tbl c then
+        invalid_arg "Comm.open_ranges_view: duplicate candidate";
       Hashtbl.replace range_tbl c (off, len))
     ranges;
+  (* [range_len cand off] — the opened length when [off] is [cand]'s
+     range offset, -1 when the payload is not part of this open. *)
+  let range_len cand off =
+    match Hashtbl.find range_tbl cand with
+    | eoff, elen when eoff = off -> elen
+    | _ -> -1
+    | exception Not_found -> -1
+  in
   (* Live values at the election level, restricted to the ranges. *)
-  let cur = Hashtbl.create 1024 in
-  Ks_stdx.Dtbl.iter_sorted ~cmp:Ks_stdx.Dtbl.int_cmp
-    (fun c (off, len) ->
-      let st = t.cands.(c) in
+  let cur = ref (Hashtbl.create 1024) in
+  List.iter
+    (fun (c, off, len) ->
       let node = node_of t ~cand:c ~level in
       Array.iteri
         (fun inst v ->
           match v with
-          | Some v -> Hashtbl.replace cur (c, node, inst) (Array.sub v off len)
+          | Some v -> Hashtbl.replace !cur (c, node, inst) (Array.sub v off len)
           | None -> ())
-        st.held)
-    range_tbl;
+        t.cands.(c).held)
+    ranges;
   (* sendDown: walk the shares to the leaves, reconstructing one depth per
-     round. *)
-  let cur = ref cur in
+     round.  Pieces are collected per (cand, child node, parent instance). *)
   for l = level downto 2 do
-    let msgs = ref [] in
-    Ks_stdx.Dtbl.iter_sorted ~cmp:Ks_stdx.Dtbl.triple_cmp
-      (fun (c, node, inst) words ->
-        let spos = Structure.pos t.structure ~level:l ~inst in
-        let sender = (Tree.members t.tree ~level:l ~node).(spos) in
-        let pinst = Structure.parent t.structure ~level:l ~inst in
-        let dpos = Structure.pos t.structure ~level:(l - 1) ~inst:pinst in
-        let off, _ = Hashtbl.find range_tbl c in
-        List.iter
-          (fun ch ->
-            let dst = (Tree.members t.tree ~level:(l - 1) ~node:ch).(dpos) in
-            msgs :=
-              route t ~src:sender ~dst
-                ~payload_of:(fun words ->
-                  Share_down { cand = c; level = l; node = ch; inst; off; words })
-                words !msgs)
-          (Tree.children t.tree ~level:l ~node))
-      !cur;
-    (* Collect pieces per (cand, child node, parent instance). *)
     let pieces = Hashtbl.create 1024 in
-    let witness = Hashtbl.create 1024 in
-    let collect inboxes =
-      Array.iteri
-        (fun p inbox ->
-          List.iter
-            (fun e ->
-              match e.payload with
-              | Share_down { cand; level = ml; node = ch; inst; off; words }
-                when ml = l && Hashtbl.mem range_tbl cand ->
-              let eoff, elen = Hashtbl.find range_tbl cand in
-              if
-                off = eoff
-                && inst >= 0
-                && inst < Structure.count t.structure ~level:l
-                && ch >= 0
-                && ch < Tree.node_count t.tree ~level:(l - 1)
-              then begin
-                let pinst = Structure.parent t.structure ~level:l ~inst in
-                let dpos = Structure.pos t.structure ~level:(l - 1) ~inst:pinst in
-                let dst_ok =
-                  (Tree.members t.tree ~level:(l - 1) ~node:ch).(dpos) = p
-                in
-                let pnode = Tree.parent t.tree ~level:(l - 1) ~node:ch in
-                let src_ok =
-                  (Tree.members t.tree ~level:l ~node:pnode).(Structure.pos
-                                                                t.structure ~level:l
-                                                                ~inst) = e.src
-                in
-                if
-                  dst_ok && src_ok
-                  && admit t ~witness ~accuser:p ~src:e.src ~key:(cand, ch, inst)
-                       ~slot:inst ~expected_len:elen words
-                then begin
-                  let key = (cand, ch, pinst) in
-                  let x = Structure.pos t.structure ~level:l ~inst in
-                  let existing =
-                    Option.value ~default:[] (Hashtbl.find_opt pieces key)
-                  in
-                  if not (List.mem_assoc x existing) then
-                    Hashtbl.replace pieces key ((x, words) :: existing)
-                end
-              end
-              | _ -> ())
-            inbox)
-        inboxes
-    in
-    collect (exchange t !msgs);
-    let decode () =
-      let next = Hashtbl.create 1024 in
-      let failed = ref 0 in
-      Ks_stdx.Dtbl.iter_sorted ~cmp:Ks_stdx.Dtbl.triple_cmp
-        (fun (c, ch, pinst) holder_pieces ->
-          let dpos = Structure.pos t.structure ~level:(l - 1) ~inst:pinst in
-          let holders = Tree.uplinks t.tree ~level:(l - 1) ~member:dpos in
-          let th = Params.share_threshold t.params ~holders:(Array.length holders) in
-          match Sh.reconstruct_vectors ~failures:failed ~threshold:th holder_pieces with
-          | Some v -> Hashtbl.replace next (c, ch, pinst) v
-          | None -> ())
-        pieces;
-      (next, !failed)
-    in
-    cur := settle t ~msgs:!msgs ~collect ~decode ~attempt:0
+    cur :=
+      hop t
+        ~sends:(fun send ->
+          Ks_stdx.Dtbl.iter_sorted ~cmp:Ks_stdx.Dtbl.triple_cmp
+            (fun (c, node, inst) words ->
+              let sender = holder t ~level:l ~node ~inst in
+              let pinst = Structure.parent t.structure ~level:l ~inst in
+              let off, _ = Hashtbl.find range_tbl c in
+              List.iter
+                (fun ch ->
+                  send ~src:sender ~dst:(holder t ~level:(l - 1) ~node:ch ~inst:pinst)
+                    ~payload_of:(fun words ->
+                      Share_down { cand = c; level = l; node = ch; inst; off; words })
+                    words)
+                (Tree.children t.tree ~level:l ~node))
+            !cur)
+        ~accept:(fun p e admit ->
+          match e.payload with
+          | Share_down { cand; level = ml; node = ch; inst; off; words }
+            when ml = l && inst >= 0
+                 && inst < Structure.count t.structure ~level:l
+                 && ch >= 0
+                 && ch < Tree.node_count t.tree ~level:(l - 1) ->
+            let len = range_len cand off in
+            let pinst = Structure.parent t.structure ~level:l ~inst in
+            let pnode = Tree.parent t.tree ~level:(l - 1) ~node:ch in
+            if
+              len > 0
+              && holder t ~level:(l - 1) ~node:ch ~inst:pinst = p
+              && holder t ~level:l ~node:pnode ~inst = e.src
+              && admit p e (cand, ch, inst) ~slot:inst ~len words
+            then add_piece pieces (cand, ch, pinst) (Structure.pos t.structure ~level:l ~inst) words
+          | _ -> ())
+        ~decode:(fun () ->
+          decode_pieces pieces ~threshold:(fun (_, _, pinst) ->
+              let dpos = Structure.pos t.structure ~level:(l - 1) ~inst:pinst in
+              let holders = Tree.uplinks t.tree ~level:(l - 1) ~member:dpos in
+              Params.share_threshold t.params ~holders:(Array.length holders)))
   done;
   (* Leaf exchange: members of every level-1 node swap their reconstructed
      1-shares and recover the secrets. *)
   let k1 = Tree.node_size t.tree ~level:1 in
   let t1 = Params.share_threshold t.params ~holders:k1 in
-  let msgs = ref [] in
-  Ks_stdx.Dtbl.iter_sorted ~cmp:Ks_stdx.Dtbl.triple_cmp
-    (fun (c, leaf, inst) words ->
-      let members = Tree.members t.tree ~level:1 ~node:leaf in
-      let sender = members.(inst) in
-      let off, _ = Hashtbl.find range_tbl c in
-      for mp = 0 to k1 - 1 do
-        if mp <> inst then
-          msgs :=
-            route t ~src:sender ~dst:members.(mp)
-              ~payload_of:(fun words -> Leaf_val { cand = c; leaf; inst; off; words })
-              words !msgs
-      done)
-    !cur;
   let pieces = Hashtbl.create 1024 in
-  (* Own shares count without a message. *)
-  Ks_stdx.Dtbl.iter_sorted ~cmp:Ks_stdx.Dtbl.triple_cmp
-    (fun (c, leaf, inst) words ->
-      Hashtbl.replace pieces (c, leaf, inst) [ (inst, words) ])
-    !cur;
-  let witness = Hashtbl.create 1024 in
-  let collect inboxes =
-    Array.iteri
-      (fun p inbox ->
-        List.iter
-          (fun e ->
-            match e.payload with
-            | Leaf_val { cand; leaf; inst; off; words }
-            when Hashtbl.mem range_tbl cand && inst >= 0 && inst < k1
-                 && leaf >= 0 && leaf < Tree.node_count t.tree ~level:1 ->
-            let eoff, elen = Hashtbl.find range_tbl cand in
-            if off = eoff then begin
-              let members = Tree.members t.tree ~level:1 ~node:leaf in
-              if members.(inst) = e.src then begin
-                match Tree.position_of t.tree ~level:1 ~node:leaf p with
-                | Some mp ->
-                  if
-                    admit t ~witness ~accuser:p ~src:e.src ~key:(cand, leaf, inst)
-                      ~slot:inst ~expected_len:elen words
-                  then begin
-                    let key = (cand, leaf, mp) in
-                    let existing =
-                      Option.value ~default:[] (Hashtbl.find_opt pieces key)
-                    in
-                    if not (List.mem_assoc inst existing) then
-                      Hashtbl.replace pieces key ((inst, words) :: existing)
-                  end
-                | None -> ()
-              end
-            end
-            | _ -> ())
-          inbox)
-      inboxes
+  let secrets =
+    hop t
+      ~sends:(fun send ->
+        Ks_stdx.Dtbl.iter_sorted ~cmp:Ks_stdx.Dtbl.triple_cmp
+          (fun (c, leaf, inst) words ->
+            let members = Tree.members t.tree ~level:1 ~node:leaf in
+            let off, _ = Hashtbl.find range_tbl c in
+            for mp = 0 to k1 - 1 do
+              (* Own shares count without a message. *)
+              if mp = inst then Hashtbl.replace pieces (c, leaf, inst) [ (inst, words) ]
+              else
+                send ~src:members.(inst) ~dst:members.(mp)
+                  ~payload_of:(fun words -> Leaf_val { cand = c; leaf; inst; off; words })
+                  words
+            done)
+          !cur)
+      ~accept:(fun p e admit ->
+        match e.payload with
+        | Leaf_val { cand; leaf; inst; off; words }
+          when inst >= 0 && inst < k1 && leaf >= 0
+               && leaf < Tree.node_count t.tree ~level:1 -> (
+          let len = range_len cand off in
+          if len > 0 && (Tree.members t.tree ~level:1 ~node:leaf).(inst) = e.src then
+            match Tree.position_of t.tree ~level:1 ~node:leaf p with
+            | Some mp ->
+              if admit p e (cand, leaf, inst) ~slot:inst ~len words then
+                add_piece pieces (cand, leaf, mp) inst words
+            | None -> ())
+        | _ -> ())
+      ~decode:(fun () -> decode_pieces pieces ~threshold:(fun _ -> t1))
   in
-  collect (exchange t !msgs);
-  let decode () =
-    let secrets = Hashtbl.create 1024 in
-    let failed = ref 0 in
-    Ks_stdx.Dtbl.iter_sorted ~cmp:Ks_stdx.Dtbl.triple_cmp
-      (fun key holder_pieces ->
-        match Sh.reconstruct_vectors ~failures:failed ~threshold:t1 holder_pieces with
-        | Some v -> Hashtbl.replace secrets key v
-        | None -> ())
-      pieces;
-    (secrets, !failed)
-  in
-  let secrets = settle t ~msgs:!msgs ~collect ~decode ~attempt:0 in
   (* sendOpen: leaf members report straight up the ℓ-links; election-node
      members take a majority inside each leaf's reports, then across
-     leaves. *)
-  let msgs = ref [] in
-  Ks_stdx.Dtbl.iter_sorted ~cmp:Ks_stdx.Dtbl.triple_cmp
-    (fun (c, leaf, mp) words ->
-      let enode = node_of t ~cand:c ~level in
-      let sender = (Tree.members t.tree ~level:1 ~node:leaf).(mp) in
-      let targets = Tree.ell_sources t.tree ~level ~node:enode ~leaf in
-      let emembers = Tree.members t.tree ~level ~node:enode in
-      let off, _ = Hashtbl.find range_tbl c in
-      Array.iter
-        (fun em ->
-          msgs :=
-            route t ~src:sender ~dst:emembers.(em)
-              ~payload_of:(fun words -> Open_val { cand = c; leaf; off; words })
-              words !msgs)
-        targets)
-    secrets;
-  let inboxes = exchange t !msgs in
-  (* reports : (cand, election member position, leaf) -> word vectors *)
+     leaves.  reports : (cand, election member position, leaf) -> word
+     vectors. *)
   let reports = Hashtbl.create 4096 in
-  let witness = Hashtbl.create 4096 in
-  Array.iteri
-    (fun p inbox ->
-      List.iter
-        (fun e ->
-          match e.payload with
-          | Open_val { cand; leaf; off; words }
-            when Hashtbl.mem range_tbl cand && leaf >= 0
-                 && leaf < Tree.node_count t.tree ~level:1 ->
-            let eoff, elen = Hashtbl.find range_tbl cand in
-            if off = eoff then begin
-              let enode = node_of t ~cand ~level in
-              match Tree.position_of t.tree ~level ~node:enode p with
-              | Some em
-                when Array.exists (fun l -> l = leaf)
-                       (Tree.ell_links t.tree ~level ~node:enode ~member:em)
-                     && Tree.position_of t.tree ~level:1 ~node:leaf e.src <> None ->
-                if
-                  admit t ~witness ~accuser:p ~src:e.src ~key:(cand, leaf)
-                    ~slot:leaf ~expected_len:elen words
-                then begin
-                  let key = (cand, em, leaf) in
-                  let existing =
-                    Option.value ~default:[] (Hashtbl.find_opt reports key)
-                  in
-                  Hashtbl.replace reports key (words :: existing)
-                end
-              | Some _ | None -> ()
-            end
-          | _ -> ())
-        inbox)
-    inboxes;
-  (* Per-leaf majority, then per-member majority across leaves. *)
-  let leaf_values = Hashtbl.create 4096 in
-  Ks_stdx.Dtbl.iter_sorted ~cmp:Ks_stdx.Dtbl.triple_cmp
-    (fun (cand, em, _leaf) vectors ->
-      match word_majority vectors with
-      | Some v ->
-        let key = (cand, em) in
-        let existing = Option.value ~default:[] (Hashtbl.find_opt leaf_values key) in
-        Hashtbl.replace leaf_values key (v :: existing)
-      | None -> ())
-    reports;
-  let views = Hashtbl.create 4096 in
-  Ks_stdx.Dtbl.iter_sorted ~cmp:Ks_stdx.Dtbl.pair_cmp
-    (fun key vectors ->
-      match word_majority vectors with
-      | Some v -> Hashtbl.replace views key v
-      | None -> ())
-    leaf_values;
+  let views =
+    hop t
+      ~sends:(fun send ->
+        Ks_stdx.Dtbl.iter_sorted ~cmp:Ks_stdx.Dtbl.triple_cmp
+          (fun (c, leaf, mp) words ->
+            let enode = node_of t ~cand:c ~level in
+            let sender = (Tree.members t.tree ~level:1 ~node:leaf).(mp) in
+            let emembers = Tree.members t.tree ~level ~node:enode in
+            let off, _ = Hashtbl.find range_tbl c in
+            Array.iter
+              (fun em ->
+                send ~src:sender ~dst:emembers.(em)
+                  ~payload_of:(fun words -> Open_val { cand = c; leaf; off; words })
+                  words)
+              (Tree.ell_sources t.tree ~level ~node:enode ~leaf))
+          secrets)
+      ~accept:(fun p e admit ->
+        match e.payload with
+        | Open_val { cand; leaf; off; words }
+          when leaf >= 0 && leaf < Tree.node_count t.tree ~level:1 -> (
+          let len = range_len cand off in
+          if len > 0 then
+            let enode = node_of t ~cand ~level in
+            match Tree.position_of t.tree ~level ~node:enode p with
+            | Some em
+              when Array.exists (fun l -> l = leaf)
+                     (Tree.ell_links t.tree ~level ~node:enode ~member:em)
+                   && Tree.position_of t.tree ~level:1 ~node:leaf e.src <> None ->
+              if admit p e (cand, leaf) ~slot:leaf ~len words then
+                push reports (cand, em, leaf) words
+            | Some _ | None -> ())
+        | _ -> ())
+      ~decode:(fun () ->
+        (* Per-leaf majority, then per-member majority across leaves. *)
+        let leaf_values = Hashtbl.create 4096 and views = Hashtbl.create 4096 in
+        majorities ~cmp:Ks_stdx.Dtbl.triple_cmp reports (fun (cand, em, _leaf) v ->
+            push leaf_values (cand, em) v);
+        majorities ~cmp:Ks_stdx.Dtbl.pair_cmp leaf_values (Hashtbl.replace views);
+        (views, 0))
+  in
   fun ~cand ~member -> Hashtbl.find_opt views (cand, member)

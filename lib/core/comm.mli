@@ -12,7 +12,7 @@
     candidate.
 
     Corrupted holders participate according to a {!behavior} policy
-    (silent / garbage / flip / follow), wired into the network's
+    (follow / silent / garbage / flip / equivocate), wired into the network's
     adversary strategy by {!create}: the adversary decides {e who} falls
     and {e when} through its [Ks_sim] strategy; this policy decides what
     the fallen do inside the tree protocol. *)
@@ -176,8 +176,10 @@ val level_of : t -> cand:int -> int option
 
 (** [open_ranges_view t ~level ~ranges] — [sendDown] + level-1
     reconstruction + [sendOpen] for the listed [(cand, off, len)] word
-    ranges, all in parallel.  Takes [level + 1] rounds ([level] of them
-    when [level] is 1... level must be >= 2).  Returns a view function:
+    ranges, all in parallel; [level] must be >= 2 and each candidate
+    listed once.  Takes [level + 1] rounds: [level - 1] [sendDown] rounds,
+    one leaf exchange and one [sendOpen], plus up to [retries] re-request
+    rounds for each of the [level] decoding hops.  Returns a view function:
     [view ~cand ~member] is what member position [member] of the
     candidate's level-[level] election node learned of the range
     (re-indexed from 0), [None] when too few honest pieces survived.

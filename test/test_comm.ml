@@ -206,7 +206,155 @@ let test_open_rejects_bad_ranges () =
   Comm.reshare_up comm ~cands:(List.init 64 (fun i -> i)) ~drop:[];
   Alcotest.check_raises "range out of bounds"
     (Invalid_argument "Comm.open_ranges_view: bad range") (fun () ->
-      discard (Comm.open_ranges_view comm ~level:2 ~ranges:[ (0, 4, 3) ]))
+      discard (Comm.open_ranges_view comm ~level:2 ~ranges:[ (0, 4, 3) ]));
+  Alcotest.check_raises "duplicate candidate"
+    (Invalid_argument "Comm.open_ranges_view: duplicate candidate") (fun () ->
+      discard (Comm.open_ranges_view comm ~level:2 ~ranges:[ (0, 0, 1); (0, 1, 1) ]))
+
+(* --- Acceptance rules of the five share hops ----------------------------
+
+   One corrupt processor, otherwise following the protocol, queues two
+   shares just before a hop, each carrying a word outside Z_p:
+   - a stray one with in-range identifiers but the wrong sender or slot,
+     which the route-legitimacy check must drop before [admit] sees it,
+     so no quarantine event;
+   - one on a legitimate route, which [admit] must convict with exactly
+     one out_of_field accusation, by its recipient.
+   The two go to different recipients, so a stray share that reached
+   [admit] would show as a second accusation.  Each forge below lists
+   [(legitimate, share)] pairs for its hop, all sent by [bad]. *)
+
+let out_of_field = [| Ks_field.Zp.p; 1 |]
+let env src dst payload = { Ks_sim.Types.src; dst; payload }
+let upto k = List.init k Fun.id
+let pairs k f = List.concat_map (fun i -> List.map (f i) (upto k)) (upto k)
+
+(* The first candidate whose level-[level] node has [bad] as a member,
+   with that node and [bad]'s position in it. *)
+let node_with tree ~level bad =
+  List.find_map
+    (fun cand ->
+      let node = Tree.leaf_ancestor tree ~leaf:cand ~level in
+      let m = Tree.members tree ~level ~node in
+      Option.map (fun q -> (cand, node, q)) (Array.find_index (Int.equal bad) m))
+    (upto (Tree.n tree))
+  |> Option.get
+
+let forge_deal tree _ bad =
+  let m = Tree.members tree ~level:1 ~node:bad in
+  ( bad,
+    pairs (Array.length m) (fun inst h ->
+        (inst = h, env bad m.(h) (Comm.Deal { cand = bad; inst; words = out_of_field }))) )
+
+let forge_share_up tree s bad =
+  let cand, _, q = node_with tree ~level:1 bad in
+  let up = Tree.members tree ~level:2 ~node:(Tree.leaf_ancestor tree ~leaf:cand ~level:2) in
+  ( cand,
+    List.map
+      (fun inst ->
+        ( Comm.Structure.parent s ~level:2 ~inst = q,
+          env bad up.(Comm.Structure.pos s ~level:2 ~inst)
+            (Comm.Share_up { cand; inst; words = out_of_field }) ))
+      (upto (Comm.Structure.count s ~level:2)) )
+
+let forge_share_down tree s bad =
+  let cand, node, q = node_with tree ~level:2 bad in
+  ( cand,
+    List.concat_map
+      (fun inst ->
+        let dpos = Comm.Structure.pos s ~level:1 ~inst:(Comm.Structure.parent s ~level:2 ~inst) in
+        List.map
+          (fun ch ->
+            ( Comm.Structure.pos s ~level:2 ~inst = q,
+              env bad (Tree.members tree ~level:1 ~node:ch).(dpos)
+                (Comm.Share_down { cand; level = 2; node = ch; inst; off = 0; words = out_of_field })
+            ))
+          (Tree.children tree ~level:2 ~node))
+      (upto (Comm.Structure.count s ~level:2)) )
+
+let forge_leaf_val tree _ bad =
+  let leaf, _, q = node_with tree ~level:1 bad in
+  let m = Tree.members tree ~level:1 ~node:leaf in
+  ( leaf,
+    pairs (Array.length m) (fun inst mp ->
+        ( inst = q,
+          env bad m.(mp) (Comm.Leaf_val { cand = leaf; leaf; inst; off = 0; words = out_of_field }) )) )
+
+let forge_open_val tree _ bad =
+  let cand, _, _ = node_with tree ~level:1 bad in
+  let enode = Tree.leaf_ancestor tree ~leaf:cand ~level:2 in
+  let em = Tree.members tree ~level:2 ~node:enode in
+  ( cand,
+    List.concat_map
+      (fun leaf ->
+        List.map
+          (fun p ->
+            ( Array.mem bad (Tree.members tree ~level:1 ~node:leaf),
+              env bad em.(p) (Comm.Open_val { cand; leaf; off = 0; words = out_of_field }) ))
+          (Array.to_list (Tree.ell_sources tree ~level:2 ~node:enode ~leaf)))
+      (Tree.children tree ~level:2 ~node:enode) )
+
+(* Rounds: deal 0, reshare 1, then the level-2 open's sendDown 2, leaf
+   exchange 3 and sendOpen 4.  Shares queued during round r - 1 go out in
+   round r. *)
+let hop_injection (round, forge) =
+  let n = 32 in
+  let params = Params.practical n in
+  let tree = Tree.build (Prng.create 31L) (Params.tree_config params) in
+  let comm = ref None and queued = ref [] in
+  let strategy =
+    Ks_sim.Adversary.make ~name:"inject"
+      ~initial_corruptions:Ks_sim.Adversary.uniform_random_set
+      ~act:(fun view ->
+        if view.Ks_sim.Types.view_round + 1 = round then
+          Comm.queue_adversarial (Option.get !comm) !queued;
+        [])
+      ()
+  in
+  let accusations = ref [] in
+  let hub =
+    Ks_monitor.Hub.create
+      [
+        Ks_monitor.Monitor.make ~name:"accusations"
+          ~on_event:(fun ~emit:_ -> function
+            | Ks_monitor.Event.Quarantine { accuser; offender; evidence; _ } ->
+              accusations := (accuser, offender, evidence) :: !accusations
+            | _ -> ())
+          ();
+      ]
+  in
+  Ks_monitor.Hub.with_ambient hub (fun () ->
+      let c =
+        Comm.create ~params ~tree ~seed:11L ~behavior:Comm.Follow ~strategy ~budget:1 ()
+      in
+      comm := Some c;
+      let bad = List.find (Ks_sim.Net.is_corrupt (Comm.net c)) (upto n) in
+      let cand, shares = forge tree (Comm.structure c) bad in
+      let pick ok away =
+        snd (List.find (fun (l, (e : _ Ks_sim.Types.envelope)) -> l = ok && not (List.mem e.dst away)) shares)
+      in
+      let legit = pick true [ bad ] in
+      queued := [ pick false [ bad; legit.dst ]; legit ];
+      if round = 0 then Comm.queue_adversarial c !queued;
+      Comm.deal_all c ~arrays:(Array.init n (fun i -> [| i; 2 * i |]));
+      Comm.reshare_up c ~cands:(upto n) ~drop:[];
+      let view = Comm.open_ranges_view c ~level:2 ~ranges:[ (cand, 0, 2) ] in
+      ignore (view : cand:int -> member:int -> Comm.word array option);
+      Alcotest.(check int) "one quarantine event" 1 (Comm.quarantine_events c);
+      Alcotest.(check (list (triple int int string)))
+        "the legitimate recipient accuses, out_of_field"
+        [ (legit.dst, bad, "out_of_field") ]
+        !accusations)
+
+let test_hop_acceptance () =
+  List.iter hop_injection
+    [
+      (0, forge_deal);
+      (1, forge_share_up);
+      (2, forge_share_down);
+      (3, forge_leaf_val);
+      (4, forge_open_val);
+    ]
 
 let sample_payloads =
   [
@@ -264,6 +412,7 @@ let () =
           Alcotest.test_case "secrecy before open" `Quick test_secrecy_before_open;
           Alcotest.test_case "erasure after reshare" `Quick test_erasure_after_reshare;
           Alcotest.test_case "bad ranges" `Quick test_open_rejects_bad_ranges;
+          Alcotest.test_case "hop acceptance rules" `Quick test_hop_acceptance;
         ] );
       ( "codec",
         [
