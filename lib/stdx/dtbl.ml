@@ -17,14 +17,6 @@ let pair_cmp (a1, a2) (b1, b2) =
   let c = Int.compare a1 b1 in
   if c <> 0 then c else Int.compare a2 b2
 
-let triple_cmp (a1, a2, a3) (b1, b2, b3) =
-  let c = Int.compare a1 b1 in
-  if c <> 0 then c
-  else begin
-    let c = Int.compare a2 b2 in
-    if c <> 0 then c else Int.compare a3 b3
-  end
-
 let rec int_list_cmp a b =
   match (a, b) with
   | [], [] -> 0

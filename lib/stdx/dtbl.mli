@@ -40,5 +40,4 @@ val bindings_sorted : cmp:('a -> 'a -> int) -> ('a, 'b) Hashtbl.t -> ('a * 'b) l
 
 val int_cmp : int -> int -> int
 val pair_cmp : int * int -> int * int -> int
-val triple_cmp : int * int * int -> int * int * int -> int
 val int_list_cmp : int list -> int list -> int

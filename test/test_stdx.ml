@@ -283,10 +283,6 @@ let test_dtbl_comparators () =
     "pair_cmp lexicographic"
     [ (1, 2); (1, 9); (2, 0) ]
     (sorted Ks_stdx.Dtbl.pair_cmp [ (2, 0); (1, 9); (1, 2) ]);
-  Alcotest.(check bool) "triple_cmp equal" true
-    (Ks_stdx.Dtbl.triple_cmp (1, 2, 3) (1, 2, 3) = 0);
-  Alcotest.(check bool) "triple_cmp third component decides" true
-    (Ks_stdx.Dtbl.triple_cmp (1, 2, 3) (1, 2, 4) < 0);
   Alcotest.(check bool) "int_list_cmp prefix is smaller" true
     (Ks_stdx.Dtbl.int_list_cmp [ 1; 2 ] [ 1; 2; 0 ] < 0);
   Alcotest.(check bool) "int_list_cmp lexicographic" true
