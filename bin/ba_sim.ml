@@ -9,27 +9,18 @@
 *)
 
 module Params = Ks_core.Params
-module Attacks = Ks_workload.Attacks
 module Inputs = Ks_workload.Inputs
 module Prng = Ks_stdx.Prng
 open Cmdliner
 
-let scenario_of_name name =
-  match List.find_opt (fun s -> s.Attacks.label = name) Attacks.all with
-  | Some s -> Ok s
-  | None ->
-    Error
-      (Printf.sprintf "unknown adversary %S (one of: %s)" name
-         (String.concat ", " (List.map (fun s -> s.Attacks.label) Attacks.all)))
-
-let attack_of_name name =
+let adversary_of_name name =
   match Ks_attacks.find name with
   | Some a -> Ok a
   | None ->
     Error
-      (Printf.sprintf "unknown attack %S (one of: %s; see --list-attacks)" name
-         (String.concat ", "
-            (List.map (fun a -> a.Ks_attacks.name) Ks_attacks.all)))
+      (Printf.sprintf "unknown adversary %S (one of: %s; see --list-adversaries)"
+         name
+         (String.concat ", " (List.map (fun a -> a.Ks_attacks.name) Ks_attacks.all)))
 
 let inputs_of_name rng ~n = function
   | "split" -> Ok (Inputs.generate rng ~n Inputs.Split)
@@ -46,163 +37,54 @@ let exit_agreed = 0
 let exit_degraded = 3
 let exit_failed = 4
 
-let report_everywhere ~label ~budget ~n r =
+let report_everywhere ~label ~budget ~n (r : Ks_core.Everywhere.result) =
   Printf.printf "everywhere BA: n=%d adversary=%s budget=%d\n" n label budget;
-  Printf.printf "  success=%b safe=%b value=%s\n" r.Ks_core.Everywhere.success
-    r.Ks_core.Everywhere.safe
-    (match r.Ks_core.Everywhere.agreed_value with
-     | Some v -> string_of_int v
-     | None -> "-");
+  Printf.printf "  success=%b safe=%b value=%s\n" r.success r.safe
+    (match r.agreed_value with Some v -> string_of_int v | None -> "-");
   Printf.printf "  a.e. agreement=%.1f%% (tournament), rounds ae=%d a2e=%d\n"
-    (100.0 *. r.Ks_core.Everywhere.ae.Ks_core.Ae_ba.agreement)
-    r.Ks_core.Everywhere.ae_rounds r.Ks_core.Everywhere.a2e_rounds;
+    (100.0 *. r.ae.agreement) r.ae_rounds r.a2e_rounds;
   Printf.printf "  max bits/proc: tournament=%d amplify=%d total=%d\n"
-    r.Ks_core.Everywhere.max_sent_bits_ae r.Ks_core.Everywhere.max_sent_bits_a2e
-    r.Ks_core.Everywhere.max_sent_bits_total;
+    r.max_sent_bits_ae r.max_sent_bits_a2e r.max_sent_bits_total;
   Printf.printf
     "  degraded=%b decode_failures=%d retries_used=%d shortfalls=%d quarantined=%d\n"
-    r.Ks_core.Everywhere.degraded r.Ks_core.Everywhere.decode_failures
-    r.Ks_core.Everywhere.retries_used
-    r.Ks_core.Everywhere.ae.Ks_core.Ae_ba.quorum_shortfalls
-    (Ks_core.Comm.quarantine_events r.Ks_core.Everywhere.ae.Ks_core.Ae_ba.comm);
-  if not r.Ks_core.Everywhere.success then begin
+    r.degraded r.decode_failures r.retries_used r.ae.quorum_shortfalls
+    (Ks_core.Comm.quarantine_events r.ae.comm);
+  if not r.success then begin
     Printf.printf "  FAILED: no everywhere agreement\n";
     `Ok exit_failed
   end
-  else if r.Ks_core.Everywhere.degraded then `Ok exit_degraded
+  else if r.degraded then `Ok exit_degraded
   else `Ok exit_agreed
 
-let run_everywhere ~retries ~quarantine ~params ~scenario ~seed ~inputs =
-  let n = params.Params.n in
-  let budget = Attacks.budget_of scenario ~params in
-  let tree = Ks_topology.Tree.build (Prng.create seed) (Params.tree_config params) in
-  let r =
-    Ks_core.Everywhere.run ~retries ~quarantine ~params ~seed ~inputs
-      ~behavior:scenario.Attacks.behavior
-      ~tree_strategy:(Attacks.tree_strategy scenario ~params ~tree)
-      ~a2e_strategy:(fun ~carried ~coin ->
-        Attacks.a2e_strategy scenario ~params ~coin ~carried)
-      ~budget ()
-  in
-  report_everywhere ~label:scenario.Attacks.label ~budget ~n r
-
-(* Attack runs aim at the protocol's real topology: the tree the attack
-   strategies target is rebuilt from the same seed plumbing
-   [Everywhere.run] uses internally, not the CLI seed directly. *)
-let run_everywhere_attack ~retries ~quarantine ~params ~atk ~fraction ~seed ~inputs =
-  let n = params.Params.n in
-  let budget = Ks_attacks.budget ~params ~fraction in
-  let tree =
-    Ks_attacks.protocol_tree ~params ~ae_seed:(Ks_attacks.ae_seed_of seed)
-  in
-  let r =
-    Ks_core.Everywhere.run ~retries ~quarantine ~params ~seed ~inputs
-      ~behavior:atk.Ks_attacks.behavior
-      ~tree_strategy:(atk.Ks_attacks.tree ~params ~tree)
-      ~a2e_strategy:(fun ~carried ~coin ->
-        atk.Ks_attacks.a2e ~params ~carried ~coin)
-      ~budget ()
-  in
-  report_everywhere ~label:("attack:" ^ atk.Ks_attacks.name) ~budget ~n r
-
-let run_ae ~retries ~quarantine ~params ~scenario ~seed ~inputs =
-  let tree = Ks_topology.Tree.build (Prng.create seed) (Params.tree_config params) in
-  let r =
-    Ks_core.Ae_ba.run ~retries ~quarantine ~params ~seed ~inputs
-      ~behavior:scenario.Attacks.behavior
-      ~strategy:(Attacks.tree_strategy scenario ~params ~tree)
-      ~budget:(Attacks.budget_of scenario ~params) ()
-  in
+let report_ae ~n (r : Ks_core.Ae_ba.result) =
   Printf.printf "almost-everywhere BA: agreement=%.1f%% majority=%b valid=%b\n"
-    (100.0 *. r.Ks_core.Ae_ba.agreement)
-    r.Ks_core.Ae_ba.majority r.Ks_core.Ae_ba.valid;
+    (100.0 *. r.agreement) r.majority r.valid;
   List.iter
     (fun (e : Ks_core.Ae_ba.election_stats) ->
       Printf.printf "  election l%d/n%d: %d cands -> %d winners (good %.0f%%)\n"
         e.level e.node (Array.length e.candidates) (Array.length e.winners)
         (100.0 *. e.good_winner_fraction))
-    r.Ks_core.Ae_ba.elections;
-  let decode_failures = Ks_core.Comm.decode_failures r.Ks_core.Ae_ba.comm in
-  let retries_used = Ks_core.Comm.retries_used r.Ks_core.Ae_ba.comm in
+    r.elections;
+  let decode_failures = Ks_core.Comm.decode_failures r.comm in
+  let retries_used = Ks_core.Comm.retries_used r.comm in
   Printf.printf "  decode_failures=%d retries_used=%d shortfalls=%d quarantined=%d\n"
-    decode_failures retries_used r.Ks_core.Ae_ba.quorum_shortfalls
-    (Ks_core.Comm.quarantine_events r.Ks_core.Ae_ba.comm);
-  if decode_failures > 0 || retries_used > 0 then `Ok exit_degraded
-  else `Ok exit_agreed
-
-let run_ae_attack ~retries ~quarantine ~params ~atk ~fraction ~seed ~inputs =
-  (* Standalone [Ae_ba.run] builds its tree from its own seed (no
-     tournament-seed derivation step), so mirror that here. *)
-  let tree =
-    Ks_topology.Tree.build
-      (Prng.split (Prng.create seed))
-      (Params.tree_config params)
-  in
-  let r =
-    Ks_core.Ae_ba.run ~retries ~quarantine ~params ~seed ~inputs
-      ~behavior:atk.Ks_attacks.behavior
-      ~strategy:(atk.Ks_attacks.tree ~params ~tree)
-      ~budget:(Ks_attacks.budget ~params ~fraction) ()
-  in
-  Printf.printf "almost-everywhere BA: agreement=%.1f%% majority=%b valid=%b\n"
-    (100.0 *. r.Ks_core.Ae_ba.agreement)
-    r.Ks_core.Ae_ba.majority r.Ks_core.Ae_ba.valid;
-  Printf.printf "  decode_failures=%d retries_used=%d shortfalls=%d quarantined=%d\n"
-    (Ks_core.Comm.decode_failures r.Ks_core.Ae_ba.comm)
-    (Ks_core.Comm.retries_used r.Ks_core.Ae_ba.comm)
-    r.Ks_core.Ae_ba.quorum_shortfalls
-    (Ks_core.Comm.quarantine_events r.Ks_core.Ae_ba.comm);
-  if not (r.Ks_core.Ae_ba.majority && r.Ks_core.Ae_ba.valid) then begin
-    Printf.printf "  FAILED: no almost-everywhere majority\n";
+    decode_failures retries_used r.quorum_shortfalls
+    (Ks_core.Comm.quarantine_events r.comm);
+  (* Theorem 2's guarantee: a 1 - 1/log n fraction of the good processors
+     agree on a good input. *)
+  let target = 1.0 -. (1.0 /. float_of_int (Ks_stdx.Intmath.ceil_log2 n)) in
+  if not (r.valid && r.agreement >= target) then begin
+    Printf.printf "  FAILED: almost-everywhere agreement below %.1f%% or invalid\n"
+      (100.0 *. target);
     `Ok exit_failed
   end
-  else if
-    Ks_core.Comm.decode_failures r.Ks_core.Ae_ba.comm > 0
-    || Ks_core.Comm.retries_used r.Ks_core.Ae_ba.comm > 0
-  then `Ok exit_degraded
+  else if decode_failures > 0 || retries_used > 0 then `Ok exit_degraded
   else `Ok exit_agreed
 
-let run_rabin_attack ~params ~atk ~fraction ~seed ~inputs =
-  let n = params.Params.n in
-  let budget = Ks_attacks.budget ~params ~fraction in
-  let lg = Ks_stdx.Intmath.ceil_log2 n in
-  let o =
-    Ks_baselines.Rabin.run ~seed ~n ~budget ~rounds:((2 * lg) + 6)
-      ~epsilon:params.Params.epsilon ~inputs
-      ~strategy:(atk.Ks_attacks.vote ~params)
-  in
+let report_baseline (o : Ks_baselines.Outcome.t) =
   Printf.printf "baseline: agreement=%b validity=%b rounds=%d max bits/proc=%d\n"
-    o.Ks_baselines.Outcome.agreement o.Ks_baselines.Outcome.validity
-    o.Ks_baselines.Outcome.rounds o.Ks_baselines.Outcome.max_sent_bits;
-  if o.Ks_baselines.Outcome.agreement then `Ok exit_agreed
-  else begin
-    Printf.printf "  FAILED: disagreement\n";
-    `Ok exit_failed
-  end
-
-let run_baseline name ~params ~scenario ~seed ~inputs =
-  let n = params.Params.n in
-  let budget = Attacks.budget_of scenario ~params in
-  let lg = Ks_stdx.Intmath.ceil_log2 n in
-  let o =
-    match name with
-    | `Rabin ->
-      Ks_baselines.Rabin.run ~seed ~n ~budget ~rounds:((2 * lg) + 6)
-        ~epsilon:params.Params.epsilon ~inputs
-        ~strategy:(Attacks.vote_flipper scenario ~params)
-    | `Phase_king ->
-      let faults = Stdlib.min budget (Stdlib.max 1 ((n / 4) - 1)) in
-      Ks_baselines.Phase_king.run ~seed ~n ~budget:faults ~faults ~inputs
-        ~strategy:(Attacks.generic_strategy scenario ~params)
-    | `Ben_or ->
-      Ks_baselines.Ben_or.run ~seed ~n ~budget:(Stdlib.min budget (n / 6))
-        ~max_phases:(4 * lg) ~inputs
-        ~strategy:(Attacks.generic_strategy scenario ~params)
-  in
-  Printf.printf "baseline: agreement=%b validity=%b rounds=%d max bits/proc=%d\n"
-    o.Ks_baselines.Outcome.agreement o.Ks_baselines.Outcome.validity
-    o.Ks_baselines.Outcome.rounds o.Ks_baselines.Outcome.max_sent_bits;
-  if o.Ks_baselines.Outcome.agreement then `Ok exit_agreed
+    o.agreement o.validity o.rounds o.max_sent_bits;
+  if o.agreement then `Ok exit_agreed
   else begin
     Printf.printf "  FAILED: disagreement\n";
     `Ok exit_failed
@@ -214,16 +96,15 @@ let setup_logging verbose =
     Logs.set_level (Some Logs.Debug)
   end
 
-let run_async ~n ~scenario ~seed ~inputs =
-  let f = Stdlib.min ((n - 2) / 3) (Stdlib.max 0 (n / 4)) in
+let run_async ~n ~budget ~behavior ~seed ~inputs =
+  let f = Stdlib.min ((n - 2) / 3) budget in
   let byz =
-    match scenario.Attacks.behavior with
+    match behavior with
     | Ks_core.Comm.Silent -> Ks_async.Async_ba.Silent
     | Ks_core.Comm.Follow | Ks_core.Comm.Garbage | Ks_core.Comm.Flip
     | Ks_core.Comm.Equivocate ->
       Ks_async.Async_ba.Equivocate
   in
-  let f = if scenario.Attacks.label = "honest" then 0 else f in
   let o =
     Ks_async.Async_ba.run ~seed ~n ~f ~inputs ~byz
       ~scheduler:Ks_async.Async_net.Fair ~max_events:8_000_000 ()
@@ -240,19 +121,53 @@ let run_async ~n ~scenario ~seed ~inputs =
     `Ok exit_failed
   end
 
+(* One protocol run under [entry] at [fraction]; the catalog's runners
+   aim tree strategies at the tree the protocol builds. *)
+let run_protocol protocol ~retries ~quarantine ~params ~entry ~fraction ~seed
+    ~inputs =
+  let n = params.Params.n in
+  let budget = Ks_attacks.budget ~params ~fraction in
+  match protocol with
+  | "everywhere" ->
+    report_everywhere ~label:entry.Ks_attacks.name ~budget ~n
+      (Ks_attacks.everywhere ~fraction ~retries ~quarantine ~params ~seed ~inputs
+         entry)
+  | "ae" ->
+    report_ae ~n
+      (Ks_attacks.ae ~fraction ~retries ~quarantine ~params ~seed ~inputs entry)
+  | "rabin" -> report_baseline (Ks_attacks.rabin ~fraction ~params ~seed ~inputs entry)
+  | "phase-king" ->
+    let faults = Stdlib.min budget (Stdlib.max 1 ((n / 4) - 1)) in
+    report_baseline
+      (Ks_baselines.Phase_king.run ~seed ~n ~budget:faults ~faults ~inputs
+         ~strategy:(Ks_attacks.generic_strategy entry ~budget))
+  | "ben-or" ->
+    report_baseline
+      (Ks_baselines.Ben_or.run ~seed ~n ~budget:(Stdlib.min budget (n / 6))
+         ~max_phases:(4 * Ks_stdx.Intmath.ceil_log2 n) ~inputs
+         ~strategy:(Ks_attacks.generic_strategy entry ~budget))
+  | "async" ->
+    run_async ~n ~budget ~behavior:entry.Ks_attacks.behavior ~seed ~inputs
+  | other ->
+    `Error
+      ( false,
+        Printf.sprintf
+          "unknown protocol %S (everywhere|ae|rabin|phase-king|ben-or|async)" other )
+
 (* Every run executes under the invariant monitors: the accounting set of
    [Experiments.standard_monitors] plus agreement/validity over the actual
    decisions.  [--trace FILE] additionally streams the JSONL event trace. *)
-let monitored ?(envelopes = true) ~trace_file ~inputs f =
+let monitored ~envelopes ~trace_file ~inputs f =
   match
     try Ok (Option.map Ks_monitor.Trace.file trace_file)
     with Sys_error e -> Error (`Error (false, Printf.sprintf "--trace: %s" e))
   with
   | Error e -> e
   | Ok trace ->
-  (* Attack runs flood crafted traffic and may corrupt past 1/3 on
-     purpose, so the bit/round envelopes do not apply to them; the
-     budget, agreement and validity invariants always do. *)
+  (* Attack runs flood crafted traffic and runs past the model's budget
+     corrupt more than 1/3 may tolerate, so the bit/round envelopes do not
+     apply to them; the budget, agreement and validity invariants always
+     do. *)
   let monitors =
     (if envelopes then Ks_workload.Experiments.standard_monitors ()
      else [ Ks_monitor.Monitor.corruption_budget () ])
@@ -270,21 +185,16 @@ let monitored ?(envelopes = true) ~trace_file ~inputs f =
     Printf.eprintf "FAILED: %d invariant violation(s)\n" (List.length vs);
     `Ok exit_failed
 
-let run_cmd verbose protocol n adversary attack fraction no_quarantine seed inputs
+let run_cmd verbose protocol n adversary fraction no_quarantine seed inputs
     trace_file faults retries_opt =
   setup_logging verbose;
-  match scenario_of_name adversary with
+  match adversary_of_name adversary with
   | Error e -> `Error (false, e)
-  | Ok scenario -> (
-    match
-      match attack with
-      | None -> Ok None
-      | Some name -> Result.map Option.some (attack_of_name name)
-    with
-    | Error e -> `Error (false, e)
-    | Ok (Some _) when fraction < 0. || fraction > 1. ->
-      `Error (false, Printf.sprintf "--corrupt %g is not a fraction in [0,1]" fraction)
-    | Ok atk -> (
+  | Ok entry -> (
+    match Option.value fraction ~default:entry.Ks_attacks.fraction with
+    | f when f < 0. || f > 1. ->
+      `Error (false, Printf.sprintf "--corrupt %g is not a fraction in [0,1]" f)
+    | fraction -> (
       match
         match faults with
         | None -> Ok None
@@ -306,51 +216,14 @@ let run_cmd verbose protocol n adversary attack fraction no_quarantine seed inpu
              | Some r -> Stdlib.max 0 r
              | None -> ( match plan with Some _ -> 2 | None -> 0)
            in
+           let envelopes =
+             (not entry.Ks_attacks.attack)
+             && Ks_attacks.budget ~params ~fraction <= Params.corruption_budget params
+           in
            let go () =
-             match atk with
-             | Some atk ->
-               monitored ~envelopes:false ~trace_file ~inputs:input_bits (fun () ->
-                   match protocol with
-                   | "everywhere" ->
-                     run_everywhere_attack ~retries ~quarantine ~params ~atk
-                       ~fraction ~seed ~inputs:input_bits
-                   | "ae" ->
-                     run_ae_attack ~retries ~quarantine ~params ~atk ~fraction
-                       ~seed ~inputs:input_bits
-                   | "rabin" ->
-                     run_rabin_attack ~params ~atk ~fraction ~seed
-                       ~inputs:input_bits
-                   | other ->
-                     `Error
-                       ( false,
-                         Printf.sprintf
-                           "--attack supports everywhere, ae and rabin (got %S)"
-                           other ))
-             | None ->
-               monitored ~trace_file ~inputs:input_bits (fun () ->
-                   match protocol with
-                   | "everywhere" ->
-                     run_everywhere ~retries ~quarantine ~params ~scenario ~seed
-                       ~inputs:input_bits
-                   | "ae" ->
-                     run_ae ~retries ~quarantine ~params ~scenario ~seed
-                       ~inputs:input_bits
-                   | "rabin" ->
-                     run_baseline `Rabin ~params ~scenario ~seed ~inputs:input_bits
-                   | "phase-king" ->
-                     run_baseline `Phase_king ~params ~scenario ~seed
-                       ~inputs:input_bits
-                   | "ben-or" ->
-                     run_baseline `Ben_or ~params ~scenario ~seed
-                       ~inputs:input_bits
-                   | "async" -> run_async ~n ~scenario ~seed ~inputs:input_bits
-                   | other ->
-                     `Error
-                       ( false,
-                         Printf.sprintf
-                           "unknown protocol %S \
-                            (everywhere|ae|rabin|phase-king|ben-or|async)"
-                           other ))
+             monitored ~envelopes ~trace_file ~inputs:input_bits (fun () ->
+                 run_protocol protocol ~retries ~quarantine ~params ~entry ~fraction
+                   ~seed ~inputs:input_bits)
            in
            (match plan with
             | Some p -> Ks_faults.Plan.with_plan p go
@@ -360,7 +233,7 @@ let inspect_cmd n theoretical =
   let params = if theoretical then Params.theoretical n else Params.practical n in
   Format.printf "parameters: %a@." Params.pp params;
   if not theoretical then begin
-    let tree = Ks_topology.Tree.build (Prng.create 1L) (Params.tree_config params) in
+    let tree = Ks_core.Everywhere.tree ~params ~seed:1L in
     Printf.printf "tree: %d levels\n" (Ks_topology.Tree.levels tree);
     for level = 1 to Ks_topology.Tree.levels tree do
       Printf.printf "  level %d: %d nodes x %d members\n" level
@@ -390,27 +263,21 @@ let adversary_arg =
   Arg.(
     value
     & opt string "byz-static"
-    & info [ "a"; "adversary" ] ~docv:"ADV"
-        ~doc:"Adversary: honest, crash, byz-static, byz-adaptive, eclipse or flood.")
-
-let attack_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "attack" ] ~docv:"NAME"
+    & info [ "a"; "adversary" ] ~docv:"NAME"
         ~doc:
-          "Run under an active attack from the attack library (docs/ATTACKS.md); \
-           overrides $(b,--adversary).  Supported protocols: everywhere, ae, \
-           rabin.  See $(b,ba_sim --list-attacks).")
+          "Adversary from the catalog (docs/ATTACKS.md): a scenario (honest, \
+           crash, byz-static, byz-adaptive, eclipse, flood) or an active attack.  \
+           See $(b,ba_sim --list-adversaries).")
 
 let corrupt_arg =
   Arg.(
     value
-    & opt float 0.25
+    & opt (some float) None
     & info [ "corrupt" ] ~docv:"FRAC"
         ~doc:
-          "Corrupted fraction of processors for $(b,--attack) runs.  May \
-           deliberately exceed 1/3; capped at n-1 processors.")
+          "Corrupted fraction of processors (default: the adversary's own, 0 \
+           for honest and 0.25 otherwise).  May deliberately exceed 1/3; \
+           capped at n-1 processors.")
 
 let no_quarantine_arg =
   Arg.(
@@ -470,7 +337,7 @@ let run_term =
   Term.(
     ret
       (const run_cmd $ verbose_arg $ protocol_arg $ n_arg $ adversary_arg
-     $ attack_arg $ corrupt_arg $ no_quarantine_arg $ seed_arg $ inputs_arg
+     $ corrupt_arg $ no_quarantine_arg $ seed_arg $ inputs_arg
      $ trace_arg $ faults_arg $ retries_arg))
 
 let inspect_term = Term.(ret (const inspect_cmd $ n_arg $ theoretical_arg))
@@ -489,11 +356,11 @@ let cmds =
       inspect_term;
   ]
 
-(* Top-level catalog listings ([ba_sim --list-attacks] / [--list-faults]);
+(* Top-level catalog listings ([ba_sim --list-adversaries] / [--list-faults]);
    with neither flag the default term falls back to the group help, so
    plain [ba_sim] stays informative. *)
-let list_cmd list_attacks list_faults =
-  if list_attacks then begin
+let list_cmd list_adversaries list_faults =
+  if list_adversaries then begin
     List.iter
       (fun a -> Printf.printf "%-18s %s\n" a.Ks_attacks.name a.Ks_attacks.doc)
       Ks_attacks.all;
@@ -509,12 +376,12 @@ let list_cmd list_attacks list_faults =
   end
   else `Help (`Auto, None)
 
-let list_attacks_arg =
+let list_adversaries_arg =
   Arg.(
     value
     & flag
-    & info [ "list-attacks" ]
-        ~doc:"List the attack library's strategies (for $(b,run --attack)) and exit.")
+    & info [ "list-adversaries" ]
+        ~doc:"List the adversary catalog (for $(b,run --adversary)) and exit.")
 
 let list_faults_arg =
   Arg.(
@@ -523,7 +390,7 @@ let list_faults_arg =
     & info [ "list-faults" ]
         ~doc:"List the named benign-fault presets (for $(b,run --faults)) and exit.")
 
-let default_term = Term.(ret (const list_cmd $ list_attacks_arg $ list_faults_arg))
+let default_term = Term.(ret (const list_cmd $ list_adversaries_arg $ list_faults_arg))
 
 let () =
   let info =

@@ -13,8 +13,7 @@ module Tree = Ks_topology.Tree
 module Params = Ks_core.Params
 module Comm = Ks_core.Comm
 module Ae_ba = Ks_core.Ae_ba
-module Attacks = Ks_workload.Attacks
-module Prng = Ks_stdx.Prng
+module Attacks = Ks_attacks
 
 let n = 32
 
@@ -31,7 +30,9 @@ let truncate_list max l =
 
 let () =
   let params = Params.practical n in
-  let tree = Tree.build (Prng.create 7L) (Params.tree_config params) in
+  let seed = 11L in
+  (* The tree the tournament below will build from its seed. *)
+  let tree = Ae_ba.tree ~params ~seed in
   Printf.printf "== The network tree (Figure 1, left) ==\n";
   Printf.printf "n=%d processors, arity q=%d, %d levels\n\n" n params.Params.q
     (Tree.levels tree);
@@ -63,13 +64,8 @@ let () =
      the original — taking over a whole lower node later reveals nothing)\n";
 
   Printf.printf "\n== One full tournament run (Figure 1, right) ==\n";
-  let scenario = Attacks.byzantine_static in
   let inputs = Array.init n (fun i -> i mod 2 = 0) in
-  let r =
-    Ae_ba.run ~params ~seed:11L ~inputs ~behavior:scenario.Attacks.behavior
-      ~strategy:(Attacks.tree_strategy scenario ~params ~tree:(Tree.build (Prng.create 7L) (Params.tree_config params)))
-      ~budget:(Attacks.budget_of scenario ~params) ()
-  in
+  let r = Attacks.ae ~params ~seed ~inputs Attacks.byzantine_static in
   Printf.printf
     "phases per election: expose bin choices (sendDown + sendOpen), agree\n\
      on bin choices (coin exposure + sparse voting, one candidate's block\n\

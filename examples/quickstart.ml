@@ -9,7 +9,7 @@
 
 module Params = Ks_core.Params
 module Everywhere = Ks_core.Everywhere
-module Attacks = Ks_workload.Attacks
+module Attacks = Ks_attacks
 module Inputs = Ks_workload.Inputs
 module Prng = Ks_stdx.Prng
 
@@ -28,20 +28,12 @@ let () =
   let scenario = Attacks.byzantine_static in
   let budget = Attacks.budget_of scenario ~params in
   Printf.printf "adversary: %s, corrupting up to %d of %d processors\n"
-    scenario.Attacks.label budget n;
+    scenario.Attacks.name budget n;
 
   (* 3. Run the full protocol: the almost-everywhere tournament followed
-     by the everywhere amplification. *)
-  let tree =
-    Ks_topology.Tree.build (Prng.create (Int64.add seed 1L)) (Params.tree_config params)
-  in
-  let result =
-    Everywhere.run ~params ~seed ~inputs ~behavior:scenario.Attacks.behavior
-      ~tree_strategy:(Attacks.tree_strategy scenario ~params ~tree)
-      ~a2e_strategy:(fun ~carried ~coin ->
-        Attacks.a2e_strategy scenario ~params ~coin ~carried)
-      ~budget ()
-  in
+     by the everywhere amplification, with the adversary aimed at the
+     tree the run builds. *)
+  let result = Attacks.everywhere ~params ~seed ~inputs scenario in
 
   (* 4. Inspect the outcome. *)
   Printf.printf "\n--- outcome ---\n";

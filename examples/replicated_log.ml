@@ -19,7 +19,7 @@
    of each so the contrast the paper targets is visible on real output. *)
 
 module Prng = Ks_stdx.Prng
-module Attacks = Ks_workload.Attacks
+module Attacks = Ks_attacks
 module Params = Ks_core.Params
 
 let n = 64
@@ -27,12 +27,11 @@ let slots = 8
 
 type slot_result = { decided_commit : bool; max_bits : int; rounds : int }
 
+let params = Params.practical n
+
 (* One agreement slot via the quadratic baseline. *)
 let rabin_slot ~seed ~inputs =
-  let o =
-    Ks_baselines.Rabin.run ~seed ~n ~budget:(n / 4) ~rounds:14 ~epsilon:0.08 ~inputs
-      ~strategy:Ks_sim.Adversary.crash_random
-  in
+  let o = Attacks.rabin ~params ~seed ~inputs Attacks.crash in
   let decided =
     match o.Ks_baselines.Outcome.decided.(0) with Some v -> v | None -> false
   in
@@ -44,20 +43,7 @@ let rabin_slot ~seed ~inputs =
 
 (* One agreement slot via the paper's protocol. *)
 let king_saia_slot ~seed ~inputs =
-  let params = Params.practical n in
-  let scenario = Attacks.crash in
-  let budget = Attacks.budget_of scenario ~params in
-  let tree =
-    Ks_topology.Tree.build (Prng.create seed) (Params.tree_config params)
-  in
-  let r =
-    Ks_core.Everywhere.run ~params ~seed ~inputs
-      ~behavior:scenario.Attacks.behavior
-      ~tree_strategy:(Attacks.tree_strategy scenario ~params ~tree)
-      ~a2e_strategy:(fun ~carried ~coin ->
-        Attacks.a2e_strategy scenario ~params ~coin ~carried)
-      ~budget ()
-  in
+  let r = Attacks.everywhere ~params ~seed ~inputs Attacks.crash in
   {
     decided_commit =
       (match r.Ks_core.Everywhere.agreed_value with Some 1 -> true | _ -> false);

@@ -192,14 +192,18 @@ let vote_round comm ~behavior ~adv_rng ~level ~nodes ~members_of ~graph_of
     nodes;
   tallies
 
+(* The tree is the root stream's first split: public, so whoever knows the
+   seed (the adaptive adversary included) knows the topology. *)
+let tree_of_root ~params root = Tree.build (Prng.split root) (Params.tree_config params)
+let tree ~params ~seed = tree_of_root ~params (Prng.create seed)
+
 let run ?(retries = 0) ?quarantine ~params ~seed ~inputs ~behavior ~strategy ?budget
     () =
   let (_ : Params.t) = Params.validate params in
   let n = params.Params.n in
   if Array.length inputs <> n then invalid_arg "Ae_ba.run: inputs length";
   let root = Prng.create seed in
-  let tree_rng = Prng.split root in
-  let tree = Tree.build tree_rng (Params.tree_config params) in
+  let tree = tree_of_root ~params root in
   let comm =
     Comm.create ~retries ?quarantine ~params ~tree ~seed:(Prng.bits64 root) ~behavior
       ~strategy ?budget ()

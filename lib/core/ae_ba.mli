@@ -65,6 +65,10 @@ type result = {
           and returns [p]'s view of it reduced modulo the label space *)
 }
 
+(** [tree ~params ~seed] — the tree [run ~params ~seed] builds.  It is
+    public (King–Saia §3): a tree-targeted strategy is aimed at this one. *)
+val tree : params:Params.t -> seed:int64 -> Ks_topology.Tree.t
+
 (** [run ~params ~seed ~inputs ~behavior ~strategy] — the full tournament.
     [strategy] decides who gets corrupted and when; [behavior] what
     corrupted processors do inside the tree protocol.  [?retries]

@@ -29,11 +29,17 @@ let carry_corruptions base ~carried =
       (fun rng ~n ~budget -> carried @ base.initial_corruptions rng ~n ~budget);
   }
 
-let run ?(retries = 0) ?quarantine ~params ~seed ~inputs ~behavior ~tree_strategy
-    ~a2e_strategy ?budget () =
+(* The tournament's seed, then the amplification network's, from one root. *)
+let phase_seeds seed =
   let root = Prng.create seed in
   let ae_seed = Prng.bits64 root in
-  let a2e_seed = Prng.bits64 root in
+  (ae_seed, Prng.bits64 root)
+
+let tree ~params ~seed = Ae_ba.tree ~params ~seed:(fst (phase_seeds seed))
+
+let run ?(retries = 0) ?quarantine ~params ~seed ~inputs ~behavior ~tree_strategy
+    ~a2e_strategy ?budget () =
+  let ae_seed, a2e_seed = phase_seeds seed in
   (match Ks_monitor.Hub.ambient () with
    | Some h -> Ks_monitor.Hub.phase h "tournament"
    | None -> ());

@@ -34,6 +34,11 @@ type result = {
   total_sent_bits : int;  (** all good processors, both phases *)
 }
 
+(** [tree ~params ~seed] — the tree [run ~params ~seed] plays its
+    tournament on (the {!Ae_ba.tree} of the tournament's seed): the public
+    topology a tree-targeted [tree_strategy] must aim at. *)
+val tree : params:Params.t -> seed:int64 -> Ks_topology.Tree.t
+
 (** [run ~params ~seed ~inputs ~behavior ~tree_strategy ~a2e_strategy] —
     [a2e_strategy] receives the processors already corrupted during the
     tournament (include them in its initial corruptions — use

@@ -3,7 +3,7 @@
 
     Strategies that must read corrupted processors' private state or craft
     protocol-specific lies are built with [make] at the protocol layer
-    (see [Ks_workload.Attacks]); closures give them exactly the access the
+    (see [Ks_attacks]); closures give them exactly the access the
     model grants. *)
 
 (** [make ()] — all components default to inert: no initial corruptions,

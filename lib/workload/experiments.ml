@@ -26,30 +26,17 @@ let mean_of xs = Stats.mean (Array.of_list xs)
    a 25% static Byzantine adversary. *)
 let scaling_run ~n ~seed =
   let params = Ks_core.Params.practical n in
-  let scenario = Attacks.byzantine_static in
-  let budget = Attacks.budget_of scenario ~params in
-  let rng = Prng.create (seed_of n seed) in
-  let inputs = Inputs.generate rng ~n Inputs.Split in
-  let tree = Ks_topology.Tree.build (Prng.split rng) (Ks_core.Params.tree_config params) in
-  let res =
-    Ks_core.Everywhere.run ~params ~seed:(seed_of n seed) ~inputs
-      ~behavior:scenario.Attacks.behavior
-      ~tree_strategy:(Attacks.tree_strategy scenario ~params ~tree)
-      ~a2e_strategy:(fun ~carried ~coin ->
-        Attacks.a2e_strategy scenario ~params ~coin ~carried)
-      ~budget ()
-  in
-  let lg = Intmath.ceil_log2 n in
-  let rabin =
-    Ks_baselines.Rabin.run ~seed:(seed_of n seed) ~n ~budget
-      ~rounds:((2 * lg) + 6) ~epsilon:params.Ks_core.Params.epsilon ~inputs
-      ~strategy:(Attacks.vote_flipper scenario ~params)
-  in
+  let scenario = Ks_attacks.byzantine_static in
+  let seed = seed_of n seed in
+  let inputs = Inputs.generate (Prng.create seed) ~n Inputs.Split in
+  let res = Ks_attacks.everywhere ~params ~seed ~inputs scenario in
+  let rabin = Ks_attacks.rabin ~params ~seed ~inputs scenario in
   let pk_faults = Stdlib.max 1 (n / 5) in
   let king =
-    Ks_baselines.Phase_king.run ~seed:(seed_of n seed) ~n ~budget:pk_faults
-      ~faults:pk_faults ~inputs
-      ~strategy:(Attacks.generic_strategy scenario ~params)
+    Ks_baselines.Phase_king.run ~seed ~n ~budget:pk_faults ~faults:pk_faults ~inputs
+      ~strategy:
+        (Ks_attacks.generic_strategy scenario
+           ~budget:(Ks_attacks.budget_of scenario ~params))
   in
   (res, rabin, king)
 
@@ -182,8 +169,7 @@ let t10_crossover pts =
 
 let t3_ae_agreement ?(ns = [ 64; 128 ]) ?(seeds = [ 1; 2 ]) () =
   let scenarios =
-    [ Attacks.honest; Attacks.crash; Attacks.byzantine_static;
-      Attacks.byzantine_adaptive; Attacks.eclipse ]
+    Ks_attacks.[ honest; crash; byzantine_static; byzantine_adaptive; eclipse ]
   in
   let rows =
     List.concat_map
@@ -195,16 +181,9 @@ let t3_ae_agreement ?(ns = [ 64; 128 ]) ?(seeds = [ 1; 2 ]) () =
             let runs =
               List.map
                 (fun seed ->
-                  let rng = Prng.create (seed_of n (seed + 77)) in
-                  let inputs = Inputs.generate rng ~n Inputs.Split in
-                  let tree =
-                    Ks_topology.Tree.build (Prng.split rng)
-                      (Ks_core.Params.tree_config params)
-                  in
-                  Ks_core.Ae_ba.run ~params ~seed:(seed_of n (seed + 77)) ~inputs
-                    ~behavior:sc.Attacks.behavior
-                    ~strategy:(Attacks.tree_strategy sc ~params ~tree)
-                    ~budget:(Attacks.budget_of sc ~params) ())
+                  let seed = seed_of n (seed + 77) in
+                  let inputs = Inputs.generate (Prng.create seed) ~n Inputs.Split in
+                  Ks_attacks.ae ~params ~seed ~inputs sc)
                 seeds
             in
             let agreement = mean_of (List.map (fun r -> r.Ks_core.Ae_ba.agreement) runs) in
@@ -222,7 +201,7 @@ let t3_ae_agreement ?(ns = [ 64; 128 ]) ?(seeds = [ 1; 2 ]) () =
             in
             [
               Table.fint n;
-              sc.Attacks.label;
+              sc.Ks_attacks.name;
               Table.fpct agreement;
               Table.fpct target;
               Printf.sprintf "%d/%d" valid (List.length runs);
@@ -243,14 +222,14 @@ let t4_aeba_coins ?(n = 256) ?(trials = 10) () =
   let degree = params.Ks_core.Params.aeba_degree in
   let epsilon = params.Ks_core.Params.epsilon in
   let target = 1.0 -. (2.0 /. float_of_int lg) in
-  let scenario = Attacks.byzantine_static in
+  let scenario = Ks_attacks.byzantine_static in
   let run ~rounds ~fraction ~coin ~seed =
     let budget = int_of_float (fraction *. float_of_int n) in
     let rng = Prng.create (seed_of n (seed + 31)) in
     let inputs = Inputs.generate rng ~n Inputs.Split in
     Ks_core.Aeba_coin.run_standalone ~seed:(seed_of n (seed + 31)) ~n ~degree
       ~rounds ~epsilon ~budget ~inputs
-      ~strategy:(Attacks.vote_flipper scenario ~params)
+      ~strategy:(Ks_attacks.vote_strategy scenario ~params)
       ~coin ()
   in
   let success_rate ~rounds ~fraction ~coin =
@@ -316,7 +295,7 @@ let t4_aeba_coins ?(n = 256) ?(trials = 10) () =
             Ks_core.Aeba_coin.run_standalone ~seed:(seed_of n (seed + 63)) ~n
               ~degree ~rounds:(lg + 4) ~epsilon ~budget
               ~inputs:(Array.make n false)
-              ~strategy:(Attacks.vote_flipper scenario ~params)
+              ~strategy:(Ks_attacks.vote_strategy scenario ~params)
               ~coin:Ks_core.Aeba_coin.Ideal ()
           in
           if o.Ks_core.Aeba_coin.agreement >= target && o.Ks_core.Aeba_coin.valid
@@ -410,8 +389,10 @@ let t6_a2e ?(ns = [ 256; 1024 ]) ?(seeds = [ 1; 2; 3 ]) () =
         let config = Ks_core.Ae_to_e.config_of_params params in
         List.map
           (fun (label, flood) ->
-            let scenario = if flood then Attacks.flood else Attacks.byzantine_static in
-            let budget = Attacks.budget_of scenario ~params in
+            let scenario =
+              if flood then Ks_attacks.flood else Ks_attacks.byzantine_static
+            in
+            let budget = Ks_attacks.budget_of scenario ~params in
             let runs =
               List.map
                 (fun seed ->
@@ -432,7 +413,7 @@ let t6_a2e ?(ns = [ 256; 1024 ]) ?(seeds = [ 1; 2; 3 ]) () =
                     else Some ks.(iteration)
                   in
                   let strategy =
-                    Attacks.a2e_strategy scenario ~params ~coin ~carried:[]
+                    Ks_attacks.a2e_strategy scenario ~params ~coin ~carried:[]
                   in
                   let net =
                     Ks_sim.Net.create ~label:"a2e" ~seed:(seed_of n (seed + 555))
@@ -629,7 +610,6 @@ let t9_threshold ?(n = 64) ?(seeds = [ 1; 2; 3 ]) () =
             (fun seed ->
               let rng = Prng.create (seed_of n (seed + 999)) in
               let inputs = Inputs.generate rng ~n Inputs.Split in
-              let sc = Attacks.byzantine_static in
               let strategy =
                 Ks_sim.Adversary.make ~name:"static"
                   ~initial_corruptions:(fun rng ~n ~budget:b ->
@@ -638,7 +618,7 @@ let t9_threshold ?(n = 64) ?(seeds = [ 1; 2; 3 ]) () =
                   ()
               in
               Ks_core.Everywhere.run ~params ~seed:(seed_of n (seed + 999)) ~inputs
-                ~behavior:sc.Attacks.behavior ~tree_strategy:strategy
+                ~behavior:Ks_attacks.byzantine_static.behavior ~tree_strategy:strategy
                 ~a2e_strategy:(fun ~carried ~coin:_ ->
                   Ks_core.Everywhere.carry_corruptions Ks_sim.Adversary.none ~carried)
                 ~budget ())
@@ -688,7 +668,6 @@ let t11_ablation ?(n = 64) ?(seeds = [ 1; 2; 3 ]) () =
             Stdlib.max 2 (base.Ks_core.Params.aeba_rounds / 2) } );
     ]
   in
-  let scenario = Attacks.byzantine_static in
   let rows =
     List.map
       (fun (label, params) ->
@@ -698,18 +677,10 @@ let t11_ablation ?(n = 64) ?(seeds = [ 1; 2; 3 ]) () =
         let runs =
           List.map
             (fun seed ->
-              let rng = Prng.create (seed_of n (seed + 1300)) in
-              let inputs = Inputs.generate rng ~n Inputs.Split in
-              let tree =
-                Ks_topology.Tree.build (Prng.split rng)
-                  (Ks_core.Params.tree_config params)
-              in
-              Ks_core.Everywhere.run ~params ~seed:(seed_of n (seed + 1300)) ~inputs
-                ~behavior:scenario.Attacks.behavior
-                ~tree_strategy:(Attacks.tree_strategy scenario ~params ~tree)
-                ~a2e_strategy:(fun ~carried ~coin ->
-                  Attacks.a2e_strategy scenario ~params ~coin ~carried)
-                ~budget ())
+              let seed = seed_of n (seed + 1300) in
+              let inputs = Inputs.generate (Prng.create seed) ~n Inputs.Split in
+              Ks_attacks.everywhere ~cap:budget ~params ~seed ~inputs
+                Ks_attacks.byzantine_static)
             seeds
         in
         let succ = List.length (List.filter (fun r -> r.Ks_core.Everywhere.success) runs) in
@@ -936,7 +907,6 @@ let t16_faults ?(n = 32) ?(seeds = [ 1; 2 ]) () =
     Ks_faults.Plan.with_plan plan (fun () ->
         let rng = Prng.create (seed_of n (seed + 5200)) in
         let inputs = Inputs.generate rng ~n Inputs.Split in
-        let sc = Attacks.byzantine_static in
         let strategy =
           Ks_sim.Adversary.make ~name:"static"
             ~initial_corruptions:(fun rng ~n ~budget:b ->
@@ -945,19 +915,16 @@ let t16_faults ?(n = 32) ?(seeds = [ 1; 2 ]) () =
             ()
         in
         Ks_core.Everywhere.run ~retries:2 ~params ~seed:(seed_of n (seed + 5200))
-          ~inputs ~behavior:sc.Attacks.behavior ~tree_strategy:strategy
+          ~inputs ~behavior:Ks_attacks.byzantine_static.behavior ~tree_strategy:strategy
           ~a2e_strategy:(fun ~carried ~coin:_ ->
             Ks_core.Everywhere.carry_corruptions Ks_sim.Adversary.none ~carried)
           ~budget ())
   in
   let rabin_run plan ~budget ~seed =
     Ks_faults.Plan.with_plan plan (fun () ->
-        let rng = Prng.create (seed_of n (seed + 5300)) in
-        let inputs = Inputs.generate rng ~n Inputs.Split in
-        let lg = Intmath.ceil_log2 n in
-        Ks_baselines.Rabin.run ~seed:(seed_of n (seed + 5300)) ~n ~budget
-          ~rounds:((2 * lg) + 6) ~epsilon:params.Ks_core.Params.epsilon ~inputs
-          ~strategy:(Attacks.vote_flipper Attacks.byzantine_static ~params))
+        let seed = seed_of n (seed + 5300) in
+        let inputs = Inputs.generate (Prng.create seed) ~n Inputs.Split in
+        Ks_attacks.rabin ~cap:budget ~params ~seed ~inputs Ks_attacks.byzantine_static)
   in
   (* Every (plan, fraction) cell once; the fault-free row doubles as the
      bits reference for the overhead column. *)
@@ -1059,29 +1026,14 @@ let t17_attacks ?(n = 32) ?(seeds = [ 1; 2 ]) () =
      0.36 rounds to 11/32 = 34.4%, deliberately past it. *)
   let fractions = [ 0.20; 0.25; 0.36 ] in
   let everywhere_run atk ~quarantine ~fraction ~seed =
-    let seed64 = seed_of n (seed + 6200) in
-    let rng = Prng.create seed64 in
-    let inputs = Inputs.generate rng ~n Inputs.Split in
-    let budget = Ks_attacks.budget ~params ~fraction in
-    let tree =
-      Ks_attacks.protocol_tree ~params ~ae_seed:(Ks_attacks.ae_seed_of seed64)
-    in
-    Ks_core.Everywhere.run ~retries:2 ~quarantine ~params ~seed:seed64 ~inputs
-      ~behavior:atk.Ks_attacks.behavior
-      ~tree_strategy:(atk.Ks_attacks.tree ~params ~tree)
-      ~a2e_strategy:(fun ~carried ~coin ->
-        atk.Ks_attacks.a2e ~params ~carried ~coin)
-      ~budget ()
+    let seed = seed_of n (seed + 6200) in
+    let inputs = Inputs.generate (Prng.create seed) ~n Inputs.Split in
+    Ks_attacks.everywhere ~fraction ~retries:2 ~quarantine ~params ~seed ~inputs atk
   in
   let rabin_run atk ~fraction ~seed =
-    let seed64 = seed_of n (seed + 6300) in
-    let rng = Prng.create seed64 in
-    let inputs = Inputs.generate rng ~n Inputs.Split in
-    let budget = Ks_attacks.budget ~params ~fraction in
-    let lg = Intmath.ceil_log2 n in
-    Ks_baselines.Rabin.run ~seed:seed64 ~n ~budget ~rounds:((2 * lg) + 6)
-      ~epsilon:params.Ks_core.Params.epsilon ~inputs
-      ~strategy:(atk.Ks_attacks.vote ~params)
+    let seed = seed_of n (seed + 6300) in
+    let inputs = Inputs.generate (Prng.create seed) ~n Inputs.Split in
+    Ks_attacks.rabin ~fraction ~params ~seed ~inputs atk
   in
   let rows =
     List.concat_map
@@ -1146,7 +1098,7 @@ let t17_attacks ?(n = 32) ?(seeds = [ 1; 2 ]) () =
                 ])
               [ true; false ])
           fractions)
-      Ks_attacks.all
+      (List.filter (fun e -> e.Ks_attacks.attack) Ks_attacks.all)
   in
   Table.print
     ~title:

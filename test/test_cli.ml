@@ -80,18 +80,23 @@ let test_ba_sim_exit_codes () =
   Alcotest.(check int) "malformed fault plan exits 124" 124 code;
   Alcotest.(check bool) "names the bad key" true (contains err "nonsense")
 
-(* The discovery flags are part of the scripting surface (CI's attack
+(* The discovery flags are part of the scripting surface (CI's adversary
    matrix iterates over them), so the names they print are pinned. *)
-let test_ba_sim_list_attacks () =
-  let code, out, _ = run (ba_sim ^ " --list-attacks") in
-  Alcotest.(check int) "--list-attacks exits 0" 0 code;
-  List.iter
-    (fun name ->
-      Alcotest.(check bool) ("lists " ^ name) true (contains out name))
-    [
+let test_ba_sim_list_adversaries () =
+  let code, out, _ = run (ba_sim ^ " --list-adversaries") in
+  Alcotest.(check int) "--list-adversaries exits 0" 0 code;
+  let names = [
+      "honest"; "crash"; "byz-static"; "byz-adaptive"; "eclipse"; "flood";
       "equivocate"; "bad-share-inside"; "bad-share-outside"; "hunt-committee";
       "coin-split"; "wire-junk";
     ]
+  in
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) ("lists " ^ name) true (contains out name))
+    names;
+  Alcotest.(check int) "one line per adversary" (List.length names)
+    (List.length (String.split_on_char '\n' (String.trim out)))
 
 let test_ba_sim_list_faults () =
   let code, out, _ = run (ba_sim ^ " --list-faults") in
@@ -103,30 +108,39 @@ let test_ba_sim_list_faults () =
   Alcotest.(check bool) "shows the spec each preset expands to" true
     (contains out "drop=0.02")
 
-let test_ba_sim_attack_flag () =
+let test_ba_sim_adversary_flag () =
   let code, out, _ =
     run
       (ba_sim
-      ^ " run --protocol everywhere -n 16 --attack wire-junk --corrupt 0.25 \
+      ^ " run --protocol everywhere -n 16 --adversary wire-junk --corrupt 0.25 \
          --seed 3")
   in
   Alcotest.(check int) "attacked run below threshold: degraded but agreed" 3 code;
   Alcotest.(check bool) "labels the adversary" true
-    (contains out "adversary=attack:wire-junk");
+    (contains out "adversary=wire-junk");
   Alcotest.(check bool) "reports quarantine convictions" true
     (contains out "quarantined=31");
   let code, _, err =
-    run (ba_sim ^ " run --protocol everywhere -n 16 --attack nope --seed 3")
+    run (ba_sim ^ " run --protocol everywhere -n 16 --adversary nope --seed 3")
   in
-  Alcotest.(check int) "unknown attack exits 124" 124 code;
-  Alcotest.(check bool) "names the unknown attack" true (contains err "nope");
+  Alcotest.(check int) "unknown adversary exits 124" 124 code;
+  Alcotest.(check bool) "names the unknown adversary" true (contains err "nope");
   let code, _, _ =
     run
       (ba_sim
-      ^ " run --protocol everywhere -n 16 --attack wire-junk --corrupt 1.5 \
+      ^ " run --protocol everywhere -n 16 --adversary wire-junk --corrupt 1.5 \
          --seed 3")
   in
   Alcotest.(check int) "corruption fraction outside [0,1] exits 124" 124 code;
+  (* --corrupt applies to every entry, scenarios included. *)
+  let _, out, _ =
+    run
+      (ba_sim
+      ^ " run --protocol everywhere -n 16 --adversary byz-static --corrupt 0.1 \
+         --seed 3")
+  in
+  Alcotest.(check bool) "--corrupt sets a scenario's budget" true
+    (contains out "adversary=byz-static budget=1");
   (* A preset name must behave exactly like its documented expansion. *)
   let preset =
     run (ba_sim ^ " run --protocol ae -n 32 --adversary honest --seed 7 --faults choppy")
@@ -203,9 +217,9 @@ let () =
           Alcotest.test_case "unknown flag" `Quick test_ba_sim_unknown_flag;
           Alcotest.test_case "help" `Quick test_ba_sim_help;
           Alcotest.test_case "exit codes" `Quick test_ba_sim_exit_codes;
-          Alcotest.test_case "list attacks" `Quick test_ba_sim_list_attacks;
+          Alcotest.test_case "list adversaries" `Quick test_ba_sim_list_adversaries;
           Alcotest.test_case "list faults" `Quick test_ba_sim_list_faults;
-          Alcotest.test_case "attack flag" `Quick test_ba_sim_attack_flag;
+          Alcotest.test_case "adversary flag" `Quick test_ba_sim_adversary_flag;
         ] );
       ( "bench",
         [ Alcotest.test_case "unknown flag" `Quick test_bench_unknown_flag ] );

@@ -1,22 +1,13 @@
 module E = Ks_core.Everywhere
 module Params = Ks_core.Params
-module Attacks = Ks_workload.Attacks
+module Attacks = Ks_attacks
 module Inputs = Ks_workload.Inputs
 module Prng = Ks_stdx.Prng
 
 let run ?(n = 32) ?(scenario = Attacks.honest) ?(seed = 1L) ?(inputs = Inputs.Split) () =
   let params = Params.practical n in
-  let budget = Attacks.budget_of scenario ~params in
-  let rng = Prng.create seed in
-  let input_bits = Inputs.generate rng ~n inputs in
-  let tree =
-    Ks_topology.Tree.build (Prng.split rng) (Params.tree_config params)
-  in
-  E.run ~params ~seed ~inputs:input_bits ~behavior:scenario.Attacks.behavior
-    ~tree_strategy:(Attacks.tree_strategy scenario ~params ~tree)
-    ~a2e_strategy:(fun ~carried ~coin ->
-      Attacks.a2e_strategy scenario ~params ~coin ~carried)
-    ~budget ()
+  let inputs = Inputs.generate (Prng.create seed) ~n inputs in
+  Attacks.everywhere ~params ~seed ~inputs scenario
 
 let test_honest () =
   let r = run () in

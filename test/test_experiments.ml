@@ -1,7 +1,7 @@
 (* Smoke coverage of the workload layer: inputs, attack construction, and
    the cheap experiment tables (the expensive sweeps run in bench). *)
 module Inputs = Ks_workload.Inputs
-module Attacks = Ks_workload.Attacks
+module Attacks = Ks_attacks
 module Experiments = Ks_workload.Experiments
 module Params = Ks_core.Params
 module Prng = Ks_stdx.Prng
@@ -28,7 +28,7 @@ let test_budgets () =
 
 let test_eclipse_targets_whole_leaves () =
   let params = Params.practical 64 in
-  let tree = Ks_topology.Tree.build (Prng.create 2L) (Params.tree_config params) in
+  let tree = Ks_core.Everywhere.tree ~params ~seed:2L in
   let strategy = Attacks.tree_strategy Attacks.eclipse ~params ~tree in
   let picked =
     strategy.Ks_sim.Types.initial_corruptions (Prng.create 3L) ~n:64
@@ -50,7 +50,8 @@ let test_eclipse_targets_whole_leaves () =
 
 let test_creeping_spends_gradually () =
   let params = Params.practical 64 in
-  let strategy = Attacks.generic_strategy Attacks.byzantine_adaptive ~params in
+  let want = Attacks.budget_of Attacks.byzantine_adaptive ~params in
+  let strategy = Attacks.generic_strategy Attacks.byzantine_adaptive ~budget:want in
   let view round =
     {
       Ks_sim.Types.view_round = round;
@@ -66,12 +67,11 @@ let test_creeping_spends_gradually () =
   for round = 0 to 200 do
     total := !total + List.length (strategy.Ks_sim.Types.adapt (view round))
   done;
-  let want = Attacks.budget_of Attacks.byzantine_adaptive ~params in
   Alcotest.(check int) "spends exactly its budget" want !total
 
 let test_vote_flipper_echoes_minority () =
   let params = Params.practical 64 in
-  let strategy = Attacks.vote_flipper Attacks.byzantine_static ~params in
+  let strategy = Attacks.vote_strategy Attacks.byzantine_static ~params in
   let visible =
     List.init 10 (fun i ->
         { Ks_sim.Types.src = i; dst = 63; payload = i < 7 (* majority true *) })

@@ -7,7 +7,7 @@ module Event = Ks_monitor.Event
 module Trace = Ks_monitor.Trace
 module Monitor = Ks_monitor.Monitor
 module Hub = Ks_monitor.Hub
-module Attacks = Ks_workload.Attacks
+module Attacks = Ks_attacks
 module Params = Ks_core.Params
 open Ks_sim.Types
 
@@ -129,14 +129,11 @@ let traced_rabin ~seed =
   let sink = Trace.ring ~capacity:100_000 in
   let hub = Hub.create ~trace:sink [] in
   let params = Params.practical 32 in
-  let scenario = Attacks.byzantine_static in
   let o =
     Hub.with_ambient hub (fun () ->
-        Ks_baselines.Rabin.run ~seed ~n:32
-          ~budget:(Attacks.budget_of scenario ~params)
-          ~rounds:16 ~epsilon:params.Params.epsilon
+        Attacks.rabin ~params ~seed
           ~inputs:(Array.init 32 (fun i -> i mod 2 = 0))
-          ~strategy:(Attacks.vote_flipper scenario ~params))
+          Attacks.byzantine_static)
   in
   ignore (Hub.finish hub);
   (o, Trace.render (Trace.contents sink))
@@ -159,7 +156,9 @@ let test_monitoring_changes_nothing () =
     let f () =
       Ks_baselines.Phase_king.run ~seed:3L ~n:32 ~budget:7 ~faults:7
         ~inputs:(Array.init 32 (fun i -> i < 20))
-        ~strategy:(Attacks.generic_strategy scenario ~params)
+        ~strategy:
+          (Attacks.generic_strategy scenario
+             ~budget:(Attacks.budget_of scenario ~params))
     in
     match hub with None -> f () | Some h -> Hub.with_ambient h f
   in
@@ -338,28 +337,26 @@ let scenario_gen =
   QCheck.Gen.(
     triple (oneofl Attacks.all) (int_range 32 256) (int_range 1 1000))
 
-let print_scenario (s, n, seed) = Printf.sprintf "%s n=%d seed=%d" s.Attacks.label n seed
+let print_scenario (s, n, seed) = Printf.sprintf "%s n=%d seed=%d" s.Attacks.name n seed
 
 let prop_no_violations_under_budget =
-  QCheck.Test.make ~name:"standard monitors quiet across Attacks scenarios" ~count:12
+  QCheck.Test.make ~name:"standard monitors quiet across the adversary catalog" ~count:12
     (QCheck.make ~print:print_scenario scenario_gen)
     (fun (scenario, n, seed) ->
       let params = Params.practical n in
       let hub = Hub.create (Ks_workload.Experiments.standard_monitors ()) in
       ignore
         (Hub.with_ambient hub (fun () ->
-             Ks_baselines.Rabin.run ~seed:(Int64.of_int seed) ~n
-               ~budget:(Attacks.budget_of scenario ~params)
-               ~rounds:12 ~epsilon:params.Params.epsilon
+             Attacks.rabin ~params ~seed:(Int64.of_int seed)
                ~inputs:(Array.init n (fun i -> (i + seed) mod 2 = 0))
-               ~strategy:(Attacks.vote_flipper scenario ~params)));
+               scenario));
       Hub.finish hub = [])
 
 let prop_fires_when_budget_exceeded =
   (* Same runs, but the monitor is given a stricter limit than the model
      budget: every corrupting scenario must trip it. *)
   let corrupting =
-    List.filter (fun s -> s.Attacks.schedule <> Attacks.No_corruption) Attacks.all
+    List.filter (fun s -> s.Attacks.fraction > 0.) Attacks.all
   in
   QCheck.Test.make ~name:"corruption monitor fires when limit exceeded" ~count:12
     (QCheck.make ~print:print_scenario
@@ -371,10 +368,9 @@ let prop_fires_when_budget_exceeded =
       let hub = Hub.create [ Monitor.corruption_budget ~limit:0 () ] in
       ignore
         (Hub.with_ambient hub (fun () ->
-             Ks_baselines.Rabin.run ~seed:(Int64.of_int seed) ~n ~budget ~rounds:12
-               ~epsilon:params.Params.epsilon
+             Attacks.rabin ~params ~seed:(Int64.of_int seed)
                ~inputs:(Array.init n (fun i -> (i + seed) mod 2 = 0))
-               ~strategy:(Attacks.vote_flipper scenario ~params)));
+               scenario));
       invariants (Hub.finish hub) = [ "corruption-budget" ])
 
 let () =

@@ -195,9 +195,9 @@ let test_budget_edges_all_schedules () =
   let params = Ks_core.Params.practical n in
   List.iter
     (fun sc ->
-      let label = sc.Ks_workload.Attacks.label in
+      let label = sc.Ks_attacks.name in
       let strategy : int Types.strategy =
-        Ks_workload.Attacks.generic_strategy sc ~params
+        Ks_attacks.generic_strategy sc ~budget:(Ks_attacks.budget_of sc ~params)
       in
       let net =
         Net.create ~seed:3L ~n ~budget:0 ~msg_bits:(fun (_ : int) -> 1)
@@ -224,7 +224,7 @@ let test_budget_edges_all_schedules () =
       Alcotest.(check (list int))
         (label ^ ": everyone corrupt, nothing pickable")
         [] saturated)
-    Ks_workload.Attacks.all
+    Ks_attacks.all
 
 let test_meter_merge () =
   let a = Meter.create ~n:4 and b = Meter.create ~n:4 in
