@@ -113,6 +113,23 @@ module Kernels = struct
     fun () ->
       ignore (Sys.opaque_identity (Sh.reconstruct_robust ~threshold shares))
 
+  (* A failing decode of the tournament's common shape: m = 16 shares at
+     threshold 5 (k = 6), ten of them garbage.  The six honest shares
+     are too few to carry a codeword (k + 1 supporters are required), so
+     every window is scored, the unique decoder runs, and the answer is
+     None — the case behind most decode time in a Byzantine run. *)
+  let robust_fail =
+    let rng = Prng.create 7716L in
+    let threshold = 5 and holders = 16 in
+    let shares = Sh.deal rng ~threshold ~holders (Zp.random rng) in
+    let idx = Prng.sample_without_replacement rng ~n:holders ~k:10 in
+    Array.iter
+      (fun i -> shares.(i) <- { shares.(i) with Sh.value = Zp.random rng })
+      idx;
+    let shares = Array.to_list shares in
+    fun () ->
+      ignore (Sys.opaque_identity (Sh.reconstruct_robust ~threshold shares))
+
   (* Vector decode (the sendDown hot path): 32-word vectors, two wholly
      corrupted holders plus one word-targeted lie, which forces the probe
      decode and at least one per-word fallback. *)
@@ -139,6 +156,7 @@ module Kernels = struct
       ("field/gf256_mul_256", mul_gf256);
       ("poly/lagrange_eval_k12_x16", lagrange_eval);
       ("shamir/interp_zero_m12_t5", interp_zero);
+      ("shamir/robust_fail_m16_k6", robust_fail);
     ]
     @ List.concat_map
         (fun n ->

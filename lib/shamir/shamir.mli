@@ -13,10 +13,12 @@
 
     Reconstruction comes in two flavours: [reconstruct] trusts its input
     (use when shares travelled only between good processors), while
-    [reconstruct_robust] is a Reed–Solomon decoder (Berlekamp–Welch) that
-    tolerates up to [(m - t - 1) / 2] corrupted shares out of [m] — this
-    is what lets a good node with a < 1/3 corrupt membership still recover
-    a secret during [sendDown]. *)
+    [reconstruct_robust] is a Reed–Solomon decoder that tolerates up to
+    [(m - t - 1) / 2] corrupted shares out of [m] — this is what lets a
+    good node with a < 1/3 corrupt membership still recover a secret
+    during [sendDown].  It list-decodes from windows of [t + 1] shares,
+    which usually recovers scattered errors well past that radius, and
+    falls back to Gao's unique decoder. *)
 
 module Make (F : Ks_field.Field_intf.S) : sig
   type share = { index : int; value : F.t }
@@ -35,11 +37,22 @@ module Make (F : Ks_field.Field_intf.S) : sig
       secret. *)
   val reconstruct : threshold:int -> share list -> F.t option
 
-  (** [reconstruct_robust ~threshold shares] — Berlekamp–Welch decoding.
-      With [m] distinct shares of which at most [(m - threshold - 1) / 2]
-      are corrupted, returns [Some secret]; returns [None] when no
-      polynomial of degree [<= threshold] agrees with enough shares. *)
+  (** [reconstruct_robust ~threshold shares] — Reed–Solomon decoding:
+      window list decoding, then Gao's unique decoder.  With [m] distinct
+      shares of which at most [(m - threshold - 1) / 2] are corrupted,
+      returns [Some secret].  Beyond that radius it returns the secret of
+      the uniquely best-supported candidate polynomial of degree
+      [<= threshold], and [None] on a tie or when no candidate has
+      [threshold + 2] supporters. *)
   val reconstruct_robust : threshold:int -> share list -> F.t option
+
+  (** [unique_decode ~threshold pts] — Gao's unique Reed–Solomon decoder
+      on points with distinct abscissae: the coefficients (lowest degree
+      first, no trailing zeros) of the polynomial of degree [<= threshold]
+      that agrees with at least [max (threshold + 2) (m - e)] of the [m]
+      points, where [e = (m - threshold - 1) / 2]; [None] when there is
+      none.  Such a polynomial is unique when it exists. *)
+  val unique_decode : threshold:int -> (F.t * F.t) array -> F.t array option
 
   (** [deal_at rng ~threshold ~xs secret] — like [deal] but evaluating at
       the points [of_int (xs.(i) + 1)]: used when holders are identified
@@ -63,14 +76,14 @@ module Make (F : Ks_field.Field_intf.S) : sig
       {e vector} at once, exploiting that corruption is per-{e holder}:
       [holders] is a list of [(x_index, vector)] pairs, all vectors of
       equal length.  The good-holder set is identified once (fast path:
-      unanimous consistency on a probe word; slow path: Berlekamp–Welch
-      on the probe), then every word is a Lagrange dot-product.  Words on
-      which the two verification subsets disagree fall back to per-word
-      Berlekamp–Welch.  Returns [None] when no degree-[threshold]
-      polynomial explains enough holders — and, as a detection hook for
-      graceful degradation, increments [?failures] once per such failed
-      decode so callers can retry or report instead of silently losing
-      the value. *)
+      unanimous consistency on a probe word; slow path: the robust decode
+      of [reconstruct_robust] on the probe), then every word is a Lagrange
+      dot-product.  Words on which the two verification subsets disagree
+      fall back to a per-word robust decode.  Returns [None] when no
+      degree-[threshold] polynomial explains enough holders — and, as a
+      detection hook for graceful degradation, increments [?failures]
+      once per such failed decode so callers can retry or report instead
+      of silently losing the value. *)
   val reconstruct_vectors :
     ?failures:int ref -> threshold:int -> (int * F.t array) list -> F.t array option
 

@@ -1,18 +1,20 @@
 (* Reference decoder: the pre-optimization robust-decoding kernels, kept
    verbatim as an oracle for equivalence testing.
 
-   The optimized `Shamir.best_codeword` memoizes window candidates by
-   support mask and evaluates through precomputed barycentric weights;
+   The optimized `Shamir.best_codeword` skips windows inside scored
+   supports, scores the rest on a per-call table of 1/(x_p − x_q), and
+   falls back to Gao's decoder where this module runs Berlekamp–Welch;
    `Poly.lagrange_eval` now routes through `Poly.evaluator`.  Both are
    claimed to be *behaviour-preserving* — same polynomial, same
    None-on-tie verdicts, bit for bit.  This module is the slow, obviously
    correct original that the property tests in `test_shamir.ml` compare
-   against.  Do not "optimize" this file; its value is that it never
-   changed. *)
+   against, and the only home of Berlekamp–Welch (and of `Linalg`, its
+   Gaussian elimination).  Do not "optimize" this file; its value is
+   that it never changed. *)
 
 module Make (F : Ks_field.Field_intf.S) = struct
   module P = Ks_field.Poly.Make (F)
-  module L = Ks_field.Linalg.Make (F)
+  module L = Linalg.Make (F)
   module Sh = Ks_shamir.Shamir.Make (F)
 
   let point index = F.of_int (index + 1)

@@ -1,4 +1,4 @@
-module Make (F : Field_intf.S) = struct
+module Make (F : Ks_field.Field_intf.S) = struct
   (* Reduce the augmented matrix [m] (rows × (cols+1)) to row echelon form;
      returns the list of pivot columns in order. *)
   let echelon m rows cols =

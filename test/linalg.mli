@@ -1,7 +1,8 @@
 (** Dense linear algebra over a finite field: just enough Gaussian
-    elimination to drive the Berlekamp–Welch decoder in [Ks_shamir]. *)
+    elimination to drive the reference Berlekamp–Welch decoder in
+    [Decode_oracle]. *)
 
-module Make (F : Field_intf.S) : sig
+module Make (F : Ks_field.Field_intf.S) : sig
   (** [solve a b] solves [a·x = b] for square or overdetermined [a]
       (rows >= cols).  Returns [Some x] for any solution of the system
       (free variables are set to zero), or [None] if the system is

@@ -190,7 +190,7 @@ let test_poly_interpolate_errors () =
   Alcotest.check_raises "empty" (Invalid_argument "Poly.interpolate: no points")
     (fun () -> ignore (P.interpolate []))
 
-module L = Ks_field.Linalg.Make (Zp)
+module L = Linalg.Make (Zp)
 
 let test_linalg_solve () =
   (* x + 2y = 5; 3x + 4y = 11 -> x = 1, y = 2 *)

@@ -208,10 +208,11 @@ let test_determinism () =
   Alcotest.(check string) "same seed, byte-identical trace" trace1 trace2;
   Alcotest.(check (list (list string))) "same seed, identical rows" rows1 rows2
 
-(* Same invariant for the optimized decode kernels (support-mask
-   memoization in best_codeword, barycentric evaluators, Mersenne-shift
-   multiplication): a seeded decoding workload rendered to text must be
-   byte-identical across runs. *)
+(* Same invariant for the optimized decode kernels (support-mask skips
+   and inverse-table window scoring in best_codeword, Gao's decoder,
+   barycentric evaluators, Mersenne-shift multiplication): a seeded
+   decoding workload rendered to text must be byte-identical across
+   runs. *)
 module ShZ = Ks_shamir.Shamir.Make (Ks_field.Zp)
 module Zp = Ks_field.Zp
 

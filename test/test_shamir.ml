@@ -307,10 +307,10 @@ let prop_robust_beyond_radius_fails_cleanly =
 
 (* ------------------------------------------------------------------ *)
 (* Equivalence against the pre-optimization reference decoder
-   (test/decode_oracle.ml).  The optimized kernels (support-mask
-   memoization, barycentric evaluators, running-power Vandermonde rows)
-   must be bit-for-bit behaviour-preserving, including the None-on-tie
-   refusal. *)
+   (test/decode_oracle.ml).  The optimized kernels (support-mask skips,
+   window scoring on a per-call inverse table, Gao's decoder in place of
+   Berlekamp–Welch) must be bit-for-bit behaviour-preserving, including
+   the None-on-tie refusal. *)
 
 let equal_opt eq a b =
   match (a, b) with
@@ -318,50 +318,122 @@ let equal_opt eq a b =
   | None, None -> true
   | _ -> false
 
-let corrupt_some_g rng shares ~count =
-  let shares = Array.copy shares in
-  let idx = Prng.sample_without_replacement rng ~n:(Array.length shares) ~k:count in
+(* A decode input shaped like the protocol's: which indices hold shares,
+   in what order, the threshold, and which shares lie.  Shapes:
+   - contiguous indices 0..holders-1;
+   - shuffled, non-contiguous indices in 0..62 (arrival order, uplink
+     positions);
+   - m = 16 shares at threshold 5 (k = 6), the tournament's common shape;
+   - m > 62 shares, where support sets no longer fit a bitmask.
+   Liars either send garbage or move onto a coordinated second codeword
+   (the dealer polynomial plus one, a [Flip]-like lie), which exercises
+   the best/second tracking and the refusal on ties.  Liar counts sweep
+   well past the decodable radius. *)
+type case = { threshold : int; xs : int array; liars : int array; coordinated : bool }
+
+let gen_case rng =
+  let small () =
+    let threshold = 1 + Prng.int rng 5 in
+    (threshold, threshold + 2 + Prng.int rng 12)
+  in
+  let threshold, holders, xs_from =
+    match Prng.int rng 8 with
+    | 0 ->
+      let threshold, holders = small () in
+      (threshold, holders, None)
+    | 1 | 2 ->
+      let threshold, holders = small () in
+      (threshold, holders, Some 63)
+    | 3 | 4 | 5 | 6 -> (5, 16, Some 63)
+    | _ -> (Prng.choose rng [| 5; 20; 31 |], 63 + Prng.int rng 6, Some 100)
+  in
+  let xs =
+    match xs_from with
+    | None -> Array.init holders Fun.id
+    | Some n -> Prng.sample_without_replacement rng ~n ~k:holders
+  in
+  let coordinated = Prng.bool rng in
+  let max_liars = if coordinated then holders / 2 else holders - threshold - 1 in
+  let liars =
+    Prng.sample_without_replacement rng ~n:holders ~k:(Prng.int rng (max_liars + 1))
+  in
+  { threshold; xs; liars; coordinated }
+
+let case_shares_zp rng case =
+  let shares = Sh.deal_at rng ~threshold:case.threshold ~xs:case.xs (Zp.random rng) in
   Array.iter
-    (fun i -> shares.(i) <- { shares.(i) with ShG.value = Gf.random rng })
-    idx;
-  shares
+    (fun i ->
+      let v = shares.(i).Sh.value in
+      let lie = if case.coordinated then Zp.add v Zp.one else Zp.random rng in
+      shares.(i) <- { (shares.(i)) with Sh.value = lie })
+    case.liars;
+  Array.to_list shares
+
+let case_shares_gf rng case =
+  let shares = ShG.deal_at rng ~threshold:case.threshold ~xs:case.xs (Gf.random rng) in
+  Array.iter
+    (fun i ->
+      let v = shares.(i).ShG.value in
+      let lie = if case.coordinated then Gf.add v Gf.one else Gf.random rng in
+      shares.(i) <- { (shares.(i)) with ShG.value = lie })
+    case.liars;
+  Array.to_list shares
 
 let prop_robust_equiv_oracle_zp =
-  (* Error weights sweep the whole range, well past the decodable radius:
-     the optimized and reference decoders must agree on every verdict —
+  (* The optimized and reference decoders must agree on every verdict —
      recovered value, wrong-but-identical value, or None. *)
   QCheck.Test.make ~name:"optimized robust decode == reference oracle (Z_p)"
-    ~count:120
-    QCheck.(triple small_nat small_nat small_nat)
-    (fun (a, b, c) ->
-      let rng = Prng.create (Int64.of_int ((a * 92821) + (b * 613) + c + 1)) in
-      let threshold = 1 + (a mod 5) in
-      let holders = threshold + 2 + (b mod 12) in
-      let max_errors = holders - threshold - 1 in
-      let errors = c mod (max_errors + 1) in
-      let secret = Zp.random rng in
-      let shares = Sh.deal rng ~threshold ~holders secret in
-      let bad = Array.to_list (corrupt_some rng shares ~count:errors) in
+    ~count:200
+    QCheck.(pair small_nat small_nat)
+    (fun (a, b) ->
+      let rng = Prng.create (Int64.of_int ((a * 92821) + (b * 613) + 1)) in
+      let case = gen_case rng in
+      let shares = case_shares_zp rng case in
       equal_opt Zp.equal
-        (Sh.reconstruct_robust ~threshold bad)
-        (OracleZ.reconstruct_robust ~threshold bad))
+        (Sh.reconstruct_robust ~threshold:case.threshold shares)
+        (OracleZ.reconstruct_robust ~threshold:case.threshold shares))
 
 let prop_robust_equiv_oracle_gf256 =
   QCheck.Test.make ~name:"optimized robust decode == reference oracle (GF(256))"
-    ~count:120
-    QCheck.(triple small_nat small_nat small_nat)
-    (fun (a, b, c) ->
-      let rng = Prng.create (Int64.of_int ((a * 48611) + (b * 769) + c + 1)) in
-      let threshold = 1 + (a mod 5) in
-      let holders = threshold + 2 + (b mod 12) in
-      let max_errors = holders - threshold - 1 in
-      let errors = c mod (max_errors + 1) in
-      let secret = Gf.random rng in
-      let shares = ShG.deal rng ~threshold ~holders secret in
-      let bad = Array.to_list (corrupt_some_g rng shares ~count:errors) in
+    ~count:200
+    QCheck.(pair small_nat small_nat)
+    (fun (a, b) ->
+      let rng = Prng.create (Int64.of_int ((a * 48611) + (b * 769) + 1)) in
+      let case = gen_case rng in
+      let shares = case_shares_gf rng case in
       equal_opt Gf.equal
-        (ShG.reconstruct_robust ~threshold bad)
-        (OracleG.reconstruct_robust ~threshold bad))
+        (ShG.reconstruct_robust ~threshold:case.threshold shares)
+        (OracleG.reconstruct_robust ~threshold:case.threshold shares))
+
+let prop_gao_equiv_bw =
+  (* Gao's decoder returns the oracle's Berlekamp–Welch polynomial, or
+     None where it does, inside and beyond the radius. *)
+  let same eq a b = Array.length a = Array.length b && Array.for_all2 eq a b in
+  QCheck.Test.make ~name:"Gao unique decode == reference Berlekamp-Welch (both fields)"
+    ~count:200
+    QCheck.(pair small_nat small_nat)
+    (fun (a, b) ->
+      let rng = Prng.create (Int64.of_int ((a * 15485863) + (b * 1009) + 1)) in
+      let case = gen_case rng in
+      let pts_z =
+        Array.of_list
+          (List.map
+             (fun s -> (Zp.of_int (s.Sh.index + 1), s.Sh.value))
+             (case_shares_zp rng case))
+      in
+      let pts_g =
+        Array.of_list
+          (List.map
+             (fun s -> (Gf.of_int (s.ShG.index + 1), s.ShG.value))
+             (case_shares_gf rng case))
+      in
+      let threshold = case.threshold in
+      equal_opt (same Zp.equal)
+        (Sh.unique_decode ~threshold pts_z)
+        (Option.map Pz.coeffs (OracleZ.berlekamp_welch_poly ~threshold pts_z))
+      && equal_opt (same Gf.equal)
+           (ShG.unique_decode ~threshold pts_g)
+           (Option.map Pg.coeffs (OracleG.berlekamp_welch_poly ~threshold pts_g)))
 
 let prop_lagrange_eval_equiv_oracle =
   QCheck.Test.make ~name:"Poly.lagrange_eval == reference oracle (both fields)"
@@ -435,6 +507,7 @@ let () =
             test_tie_yields_none_both_decoders;
           QCheck_alcotest.to_alcotest prop_robust_equiv_oracle_zp;
           QCheck_alcotest.to_alcotest prop_robust_equiv_oracle_gf256;
+          QCheck_alcotest.to_alcotest prop_gao_equiv_bw;
           QCheck_alcotest.to_alcotest prop_lagrange_eval_equiv_oracle;
         ] );
     ]
