@@ -6,11 +6,7 @@ type msg = Bval of { r : int; v : bool } | Aux of { r : int; v : bool }
 (* Tag byte + varint round + value bit, as in the synchronous codecs. *)
 let msg_bits m =
   let r = match m with Bval { r; _ } | Aux { r; _ } -> r in
-  let varint_len v =
-    let rec go v acc = if v < 0x80 then acc else go (v lsr 7) (acc + 1) in
-    go v 1
-  in
-  8 * (1 + varint_len r + 1)
+  8 * (1 + Ks_stdx.Wire.varint_len r + 1)
 
 type outcome = {
   decided : bool option array;

@@ -141,10 +141,6 @@ val rabin :
   t ->
   Ks_baselines.Outcome.t
 
-(** Exposed for tests: the per-leaf Berlekamp–Welch correction radius and
-    the seeded per-leaf target picker the bad-share attacks and [eclipse]
-    use. *)
+(** Exposed for tests: the per-leaf Berlekamp–Welch correction radius the
+    bad-share attacks use. *)
 val leaf_radius : params:Ks_core.Params.t -> tree:Ks_topology.Tree.t -> int
-
-val per_leaf_targets :
-  Ks_stdx.Prng.t -> Ks_topology.Tree.t -> per_node:int -> budget:int -> int list

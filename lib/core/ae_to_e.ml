@@ -28,16 +28,12 @@ let decode_msg data =
         Reply { label; value = R.u32 r }
       | tag -> R.fail (Ks_stdx.Wire.Bad_tag tag))
 
-let varint_len v =
-  let rec go v acc = if v < 0x80 then acc else go (v lsr 7) (acc + 1) in
-  go v 1
-
 let msg_bits m =
   8
   *
   match m with
-  | Request label -> 1 + varint_len label
-  | Reply { label; value = _ } -> 1 + varint_len label + 4
+  | Request label -> 1 + Ks_stdx.Wire.varint_len label
+  | Reply { label; value = _ } -> 1 + Ks_stdx.Wire.varint_len label + 4
 
 type config = {
   labels : int;

@@ -29,10 +29,7 @@ type payload =
    metering allocates nothing; test_comm pins encoded_length to the real
    encoder output. *)
 
-let varint_len v =
-  let rec go v acc = if v < 0x80 then acc else go (v lsr 7) (acc + 1) in
-  go v 1
-
+let varint_len = Ks_stdx.Wire.varint_len
 let words_len words = varint_len (Array.length words) + (4 * Array.length words)
 
 let encoded_length = function

@@ -72,8 +72,8 @@ type payload =
       (** all of a member's election votes for the round, bit-packed *)
 
 (** Exact binary codec for payloads (tag byte, varint ids, fixed 32-bit
-    words).  [payload_bits] charges the meter with the true encoded size:
-    [header_bits + 8 × encoded_length]. *)
+    words).  The net {!create} builds charges the meter with the true
+    encoded size: [header_bits + 8 × encoded_length]. *)
 
 val encode_payload : payload -> Bytes.t
 
@@ -85,8 +85,6 @@ val decode_payload : Bytes.t -> (payload, Ks_stdx.Wire.invalid) result
 (** [encoded_length p] — bytes [encode_payload] produces, computed
     without allocating. *)
 val encoded_length : payload -> int
-
-val payload_bits : Params.t -> payload -> int
 
 (** The shared share-instance tree. *)
 module Structure : sig

@@ -54,7 +54,4 @@ let random rng = Ks_stdx.Prng.int rng 256
 
 let random_nonzero rng = 1 + Ks_stdx.Prng.int rng 255
 
-let of_char c = Char.code c
-let to_char x = Char.chr x
-
 let pp fmt x = Format.fprintf fmt "0x%02x" x

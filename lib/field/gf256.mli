@@ -7,8 +7,3 @@
     built once at module initialisation. *)
 
 include Field_intf.S
-
-(** [of_char] / [to_char] view bytes as field elements. *)
-val of_char : char -> t
-
-val to_char : t -> char

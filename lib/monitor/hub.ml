@@ -1,26 +1,12 @@
 type t = {
-  mutable monitors : Monitor.t list;
+  monitors : Monitor.t list;
   trace : Trace.sink option;
-  trace_sends : bool;
   close_trace : bool;
   mutable violations : Monitor.violation list; (* newest first *)
   mutable net_counter : int;
   mutable finished : bool;
+  record : Monitor.violation -> unit;
 }
-
-let create ?trace ?(trace_sends = true) ?(close_trace = true) monitors =
-  {
-    monitors;
-    trace;
-    trace_sends;
-    close_trace;
-    violations = [];
-    net_counter = 0;
-    finished = false;
-  }
-
-let add_monitor t m = t.monitors <- t.monitors @ [ m ]
-let trace t = t.trace
 
 let violation_event (v : Monitor.violation) =
   Event.Violation
@@ -40,14 +26,31 @@ let record t v =
      monitors — no re-entrancy. *)
   match t.trace with Some sink -> Trace.emit sink (violation_event v) | None -> ()
 
+(* The violation callback is built once here, so feeding an event
+   allocates nothing beyond what the monitors themselves do. *)
+let create ?trace ?(close_trace = true) monitors =
+  let rec t =
+    {
+      monitors;
+      trace;
+      close_trace;
+      violations = [];
+      net_counter = 0;
+      finished = false;
+      record = (fun v -> record t v);
+    }
+  in
+  t
+
+let rec feed_all emit ev = function
+  | [] -> ()
+  | m :: rest ->
+    Monitor.feed m ~emit ev;
+    feed_all emit ev rest
+
 let emit t ev =
-  (match t.trace with
-   | Some sink ->
-     (match ev with
-      | Event.Send _ when not t.trace_sends -> ()
-      | _ -> Trace.emit sink ev)
-   | None -> ());
-  List.iter (fun m -> Monitor.feed m ~emit:(record t) ev) t.monitors
+  (match t.trace with Some sink -> Trace.emit sink ev | None -> ());
+  feed_all t.record ev t.monitors
 
 let register_net t ~label ~n ~budget =
   t.net_counter <- t.net_counter + 1;
@@ -61,7 +64,7 @@ let violations t = List.rev t.violations
 let finish t =
   if not t.finished then begin
     t.finished <- true;
-    List.iter (fun m -> Monitor.finish m ~emit:(record t)) t.monitors;
+    List.iter (fun m -> Monitor.finish m ~emit:t.record) t.monitors;
     match t.trace with
     | Some sink -> if t.close_trace then Trace.close sink else Trace.flush sink
     | None -> ()
@@ -87,9 +90,6 @@ let render_violations vs =
   Ks_stdx.Table.render ~title:"INVARIANT VIOLATIONS"
     ~headers:[ "invariant"; "net"; "proc"; "round"; "observed"; "bound"; "detail" ]
     rows
-
-let report t =
-  match violations t with [] -> None | vs -> Some (render_violations vs)
 
 (* --- Ambient installation.  [Ks_sim.Net.create] attaches the ambient
    hub by default, so wrapping any existing entry point in

@@ -1,28 +1,22 @@
 (** The hub fans one event stream out to a trace sink and a set of
     monitors, and collects the violations they emit.
 
-    Wiring: [Ks_sim.Net.create] attaches a hub (an explicit [?hub]
-    argument, or the {e ambient} hub installed by {!with_ambient}) and
-    registers itself via {!register_net}; every subsequent exchange
-    feeds events here.  [Ks_sim.Engine.run ?monitors ?trace] builds a
-    hub and attaches it for protocol-level users. *)
+    Wiring: [Ks_sim.Net.create] is the one place a hub attaches — an
+    explicit [?hub] argument, or else the {e ambient} hub installed by
+    {!with_ambient}.  The net registers itself via {!register_net}, and
+    every subsequent exchange feeds events here. *)
 
 type t
 
-(** [create ?trace ?trace_sends monitors] — [trace_sends] (default
-    [true]) controls whether per-message [Send] events reach the trace
-    sink; monitors always see them.  Set it [false] (or use a ring sink)
-    for low-overhead always-on monitoring.  [close_trace] (default
-    [true]) makes {!finish} close the sink; pass [false] when several
-    hubs share one sink — it is flushed instead, and the owner closes
-    it. *)
-val create :
-  ?trace:Trace.sink -> ?trace_sends:bool -> ?close_trace:bool -> Monitor.t list -> t
+(** [create ?trace ?close_trace monitors] — a hub feeding every event to
+    [trace] (when given) and then to [monitors], in list order.
+    [close_trace] (default [true]) makes {!finish} close the sink; pass
+    [false] when several hubs share one sink — it is flushed instead,
+    and the owner closes it. *)
+val create : ?trace:Trace.sink -> ?close_trace:bool -> Monitor.t list -> t
 
-val add_monitor : t -> Monitor.t -> unit
-val trace : t -> Trace.sink option
-
-(** [emit t ev] — write to the trace and feed every monitor. *)
+(** [emit t ev] — write to the trace and feed every monitor.  Allocates
+    nothing of its own per event. *)
 val emit : t -> Event.t -> unit
 
 (** [register_net t ~label ~n ~budget] — allocate a fresh net id and
@@ -41,9 +35,6 @@ val finish : t -> Monitor.violation list
 
 (** [render_violations vs] — the violation table ([Ks_stdx.Table]). *)
 val render_violations : Monitor.violation list -> string
-
-(** [report t] — [Some table] when violations were recorded. *)
-val report : t -> string option
 
 (** {1 Ambient installation} *)
 

@@ -21,19 +21,6 @@ let name t = t.name
 let feed t ~emit ev = t.on_event ~emit ev
 let finish t ~emit = t.at_finish ~emit
 
-let hooks ~name ?(on_round = fun ~emit:_ ~net:_ ~round:_ -> ())
-    ?(on_send = fun ~emit:_ ~net:_ ~round:_ ~src:_ ~dst:_ ~bits:_ ~adv:_ -> ())
-    ?(on_decide = fun ~emit:_ ~net:_ ~proc:_ ~value:_ -> ()) ?at_finish () =
-  make ~name
-    ~on_event:(fun ~emit ev ->
-      match ev with
-      | Event.Round_start { net; round } -> on_round ~emit ~net ~round
-      | Event.Send { net; round; src; dst; bits; adv } ->
-        on_send ~emit ~net ~round ~src ~dst ~bits ~adv
-      | Event.Decide { net; proc; value } -> on_decide ~emit ~net ~proc ~value
-      | _ -> ())
-    ?at_finish ()
-
 let log2f n = log (float_of_int (Stdlib.max 2 n)) /. log 2.0
 
 (* --- Built-in monitors.  Each keeps per-net state keyed by the net id
@@ -60,13 +47,19 @@ let corruption_budget ?limit () =
       | _ -> ())
     ()
 
-type net_scope = { n : int; watched : bool }
+(* Per-net state of the budget monitors, made at a watched net's
+   [Run_start]: the bound at the net's size and one counter per slot
+   (per processor for [bit_budget], a single one for [round_bound]).  A
+   counter of -1 marks its slot as already flagged, so each fires once.
+   Unwatched nets have no entry, and their events fall through. *)
+type scope = { bound : float; counts : int array }
 
-let scope_table ?(labels = []) () =
-  let scopes : (int, net_scope) Hashtbl.t = Hashtbl.create 8 in
+let scope_table ?(labels = []) ~bound ~slots () =
+  let scopes : (int, scope) Hashtbl.t = Hashtbl.create 8 in
   let on_run_start ~net ~label ~n =
-    let watched = labels = [] || List.mem label labels in
-    Hashtbl.replace scopes net { n; watched }
+    if labels = [] || List.mem label labels then
+      Hashtbl.replace scopes net { bound = bound ~n; counts = Array.make (slots n) 0 }
+    else Hashtbl.remove scopes net
   in
   (scopes, on_run_start)
 
@@ -78,36 +71,34 @@ let scope_table ?(labels = []) () =
 let default_bit_bound ?(c = 4096.0) ~n () = c *. sqrt (float_of_int n) *. (log2f n ** 3.0)
 
 let bit_budget ?labels ?(bound = fun ~n -> default_bit_bound ~n ()) () =
-  let scopes, on_run_start = scope_table ?labels () in
-  let sent : (int * int, int) Hashtbl.t = Hashtbl.create 64 in
-  let flagged : (int * int, unit) Hashtbl.t = Hashtbl.create 8 in
+  let scopes, on_run_start = scope_table ?labels ~bound ~slots:Fun.id () in
   make ~name:"bit-budget"
     ~on_event:(fun ~emit ev ->
       match ev with
       | Event.Run_start { net; label; n; _ } -> on_run_start ~net ~label ~n
       | Event.Send { net; round; src; bits; adv = false; _ } ->
-        (match Hashtbl.find_opt scopes net with
-         | Some { n; watched = true } ->
-           let key = (net, src) in
-           let total = bits + Option.value ~default:0 (Hashtbl.find_opt sent key) in
-           Hashtbl.replace sent key total;
-           let b = bound ~n in
-           if float_of_int total > b && not (Hashtbl.mem flagged key) then begin
-             Hashtbl.replace flagged key ();
-             emit
-               {
-                 invariant = "bit-budget";
-                 net;
-                 proc = Some src;
-                 round;
-                 observed = float_of_int total;
-                 bound = b;
-                 detail =
-                   Printf.sprintf "processor %d sent %d bits > %.0f (c*sqrt n*lg^3 n)" src
-                     total b;
-               }
-           end
-         | Some { watched = false; _ } | None -> ())
+        (match Hashtbl.find scopes net with
+         | exception Not_found -> ()
+         | { bound = b; counts = sent } ->
+           if src >= 0 && src < Array.length sent && sent.(src) >= 0 then begin
+             let total = sent.(src) + bits in
+             if float_of_int total > b then begin
+               sent.(src) <- -1;
+               emit
+                 {
+                   invariant = "bit-budget";
+                   net;
+                   proc = Some src;
+                   round;
+                   observed = float_of_int total;
+                   bound = b;
+                   detail =
+                     Printf.sprintf "processor %d sent %d bits > %.0f (c*sqrt n*lg^3 n)"
+                       src total b;
+                 }
+             end
+             else sent.(src) <- total
+           end)
       | _ -> ())
     ()
 
@@ -117,18 +108,17 @@ let bit_budget ?labels ?(bound = fun ~n -> default_bit_bound ~n ()) () =
 let default_round_bound ?(c = 64.0) ~n () = c *. (log2f n ** 2.0)
 
 let round_bound ?labels ?(bound = fun ~n -> default_round_bound ~n ()) () =
-  let scopes, on_run_start = scope_table ?labels () in
-  let flagged : (int, unit) Hashtbl.t = Hashtbl.create 8 in
+  let scopes, on_run_start = scope_table ?labels ~bound ~slots:(fun _ -> 1) () in
   make ~name:"round-bound"
     ~on_event:(fun ~emit ev ->
       match ev with
       | Event.Run_start { net; label; n; _ } -> on_run_start ~net ~label ~n
       | Event.Round_start { net; round } ->
-        (match Hashtbl.find_opt scopes net with
-         | Some { n; watched = true } ->
-           let b = bound ~n in
-           if float_of_int (round + 1) > b && not (Hashtbl.mem flagged net) then begin
-             Hashtbl.replace flagged net ();
+        (match Hashtbl.find scopes net with
+         | exception Not_found -> ()
+         | { bound = b; counts = flagged } ->
+           if float_of_int (round + 1) > b && flagged.(0) >= 0 then begin
+             flagged.(0) <- -1;
              emit
                {
                  invariant = "round-bound";
@@ -139,8 +129,7 @@ let round_bound ?labels ?(bound = fun ~n -> default_round_bound ~n ()) () =
                  bound = b;
                  detail = Printf.sprintf "round %d exceeds %.0f (c*lg^2 n)" (round + 1) b;
                }
-           end
-         | Some { watched = false; _ } | None -> ())
+           end)
       | _ -> ())
     ()
 

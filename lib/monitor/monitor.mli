@@ -33,20 +33,6 @@ val make :
   unit ->
   t
 
-(** [hooks ~name ?on_round ?on_send ?on_decide ?at_finish ()] — the
-    hook-style constructor: per-round, per-send and per-decision
-    callbacks dispatched from the event stream. *)
-val hooks :
-  name:string ->
-  ?on_round:(emit:(violation -> unit) -> net:int -> round:int -> unit) ->
-  ?on_send:
-    (emit:(violation -> unit) ->
-    net:int -> round:int -> src:int -> dst:int -> bits:int -> adv:bool -> unit) ->
-  ?on_decide:(emit:(violation -> unit) -> net:int -> proc:int -> value:int -> unit) ->
-  ?at_finish:(emit:(violation -> unit) -> unit) ->
-  unit ->
-  t
-
 val name : t -> string
 
 (** [feed t ~emit ev] — drive one event through the monitor (the hub
@@ -72,14 +58,18 @@ val default_bit_bound : ?c:float -> n:int -> unit -> float
     {!default_bit_bound}).  [labels] restricts to networks whose
     [Run_start] label matches (the Õ(√n) theorem is about the King–Saia
     phases, not the O(n²) baselines); empty/omitted watches every
-    network.  Adversarial traffic is never counted. *)
+    network.  Adversarial traffic is never counted, and each processor
+    is flagged at most once per network, at the message that crosses the
+    bound ([round] and [observed] are that message's round and the
+    running total it brings).  [bound ~n] is evaluated once per net, at
+    its [Run_start]. *)
 val bit_budget : ?labels:string list -> ?bound:(n:int -> float) -> unit -> t
 
 (** [default_round_bound ?c ~n ()] = [c · log₂² n]. *)
 val default_round_bound : ?c:float -> n:int -> unit -> float
 
-(** [round_bound ?labels ?bound ()] — fires when a watched network
-    starts a round past [bound ~n]. *)
+(** [round_bound ?labels ?bound ()] — fires once per watched network,
+    when it starts a round past [bound ~n]. *)
 val round_bound : ?labels:string list -> ?bound:(n:int -> float) -> unit -> t
 
 (** [agreement ()] — all [Decide] events on one network must carry one

@@ -54,5 +54,3 @@ let creeping_crash ~per_round =
       in
       if want <= 0 then [] else pick [] want (16 * want))
     ()
-
-let with_name name strategy = { strategy with name }

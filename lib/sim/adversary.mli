@@ -32,6 +32,3 @@ val creeping_crash : per_round:int -> 'msg Types.strategy
 (** [uniform_random_set rng ~n ~budget] — helper for [initial_corruptions]
     components: a uniform random subset of size [budget]. *)
 val uniform_random_set : Ks_stdx.Prng.t -> n:int -> budget:int -> Types.proc list
-
-(** [with_name s strategy] — relabel (tables key results by this name). *)
-val with_name : string -> 'msg Types.strategy -> 'msg Types.strategy

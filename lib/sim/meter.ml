@@ -34,7 +34,6 @@ let max_sent_bits t ~over =
   List.fold_left (fun acc p -> Stdlib.max acc t.sent_bits.(p)) 0 over
 
 let total_sent_bits t = Array.fold_left ( + ) 0 t.sent_bits
-let total_sent_msgs t = Array.fold_left ( + ) 0 t.sent_msgs
 
 let merge_into dst src =
   if dst.size <> src.size then invalid_arg "Meter.merge_into: size mismatch";

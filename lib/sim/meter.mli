@@ -25,7 +25,6 @@ val sent_msgs : t -> Types.proc -> int
 val max_sent_bits : t -> over:Types.proc list -> int
 
 val total_sent_bits : t -> int
-val total_sent_msgs : t -> int
 
 (** [merge_into dst src] adds [src]'s counters (including rounds) into
     [dst]; used to combine the meters of sequentially composed

@@ -4,7 +4,6 @@ open Types
 type 'msg t = {
   size : int;
   budget : int;
-  label : string;
   corrupt : bool array;
   mutable corrupt_order : proc list; (* newest first *)
   mutable corrupt_count : int;
@@ -17,8 +16,8 @@ type 'msg t = {
   msg_bits : 'msg -> int;
   faults : Ks_faults.Injector.t option;
   mutable round : int;
-  mutable hub : Ks_monitor.Hub.t option;
-  mutable net_id : int;
+  hub : Ks_monitor.Hub.t option;
+  net_id : int;
 }
 
 let emit t ev = match t.hub with None -> () | Some h -> Ks_monitor.Hub.emit h ev
@@ -52,12 +51,16 @@ let create ?hub ?faults ?(label = "net") ~seed ~n ~budget ~msg_bits ~strategy ()
   let faults =
     Option.bind faults (fun plan -> Ks_faults.Injector.create plan ~label ~n)
   in
+  let net_id =
+    match hub with
+    | Some h -> Ks_monitor.Hub.register_net h ~label ~n ~budget
+    | None -> 0
+  in
   let root = Prng.create seed in
   let t =
     {
       size = n;
       budget;
-      label;
       corrupt = Array.make n false;
       corrupt_order = [];
       corrupt_count = 0;
@@ -71,12 +74,9 @@ let create ?hub ?faults ?(label = "net") ~seed ~n ~budget ~msg_bits ~strategy ()
       faults;
       round = 0;
       hub;
-      net_id = 0;
+      net_id;
     }
   in
-  (match hub with
-   | Some h -> t.net_id <- Ks_monitor.Hub.register_net h ~label ~n ~budget
-   | None -> ());
   apply_corruptions t (strategy.initial_corruptions t.adversary_rng ~n ~budget);
   t
 
@@ -86,20 +86,6 @@ let meter t = t.meter
 let is_corrupt t p = t.corrupt.(p)
 let corrupt_count t = t.corrupt_count
 let budget t = t.budget
-let hub t = t.hub
-
-let attach_hub t h =
-  t.hub <- Some h;
-  t.net_id <- Ks_monitor.Hub.register_net h ~label:t.label ~n:t.size ~budget:t.budget;
-  (* The hub arrived after creation: replay the corruptions it missed so
-     budget accounting starts from the truth (oldest first). *)
-  List.iteri
-    (fun i p ->
-      Ks_monitor.Hub.emit h
-        (Ks_monitor.Event.Corrupt
-           { net = t.net_id; round = t.round; proc = p; total = i + 1; budget = t.budget }))
-    (List.rev t.corrupt_order)
-
 let good_procs t =
   let rec go p acc = if p < 0 then acc else go (p - 1) (if t.corrupt.(p) then acc else p :: acc) in
   go (t.size - 1) []

@@ -35,6 +35,9 @@ type 'msg t
     decision to [?hub] — defaulting to the {e ambient} hub
     ([Ks_monitor.Hub.ambient ()]), so wrapping a run in
     [Ks_monitor.Hub.with_ambient] monitors every network it creates.
+    This is the only place a hub attaches: a net's hub is fixed for its
+    lifetime, and the hub sees the net's [Run_start] before any of its
+    corruptions.
     [?label] names the protocol phase in the event stream ("tree",
     "a2e", "rabin", ...).  With no hub in scope the instrumentation is
     inert; it never touches the PRNG streams either way, so monitored
@@ -90,14 +93,6 @@ val exchange : 'msg t -> 'msg Types.envelope list -> 'msg Types.envelope list ar
 val corrupt_now : 'msg t -> Types.proc list -> unit
 
 (** {1 Monitoring} *)
-
-(** The hub this network reports to, if any. *)
-val hub : 'msg t -> Ks_monitor.Hub.t option
-
-(** [attach_hub t hub] — attach after creation (how
-    [Engine.run ?monitors] installs monitors).  Registers the net with
-    [hub] and replays the corruptions the hub missed. *)
-val attach_hub : 'msg t -> Ks_monitor.Hub.t -> unit
 
 (** [decide t p v] — record good processor [p]'s final decision in the
     event stream (protocols with an everywhere-agreement contract call

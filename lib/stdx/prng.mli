@@ -30,9 +30,6 @@ val bits64 : t -> int64
     [bound <= 0]. *)
 val int : t -> int -> int
 
-(** [int_in t lo hi] is uniform on the inclusive range [lo, hi]. *)
-val int_in : t -> int -> int -> int
-
 (** [bool t] is a fair coin. *)
 val bool : t -> bool
 

@@ -17,8 +17,6 @@ let variance xs =
     acc /. float_of_int (n - 1)
   end
 
-let stddev xs = sqrt (variance xs)
-
 let percentile xs p =
   check_nonempty "percentile" xs;
   if p < 0.0 || p > 100.0 then invalid_arg "Stats.percentile: p outside [0,100]";
@@ -94,21 +92,3 @@ let wilson_interval ~successes ~trials =
     (Float.max 0.0 ((center -. spread) /. denom),
      Float.min 1.0 ((center +. spread) /. denom))
   end
-
-let histogram xs ~bins =
-  check_nonempty "histogram" xs;
-  if bins <= 0 then invalid_arg "Stats.histogram: bins must be positive";
-  let lo = min xs and hi = max xs in
-  let width = if hi = lo then 1.0 else (hi -. lo) /. float_of_int bins in
-  let counts = Array.make bins 0 in
-  Array.iter
-    (fun x ->
-      let b = int_of_float ((x -. lo) /. width) in
-      let b = if b >= bins then bins - 1 else b in
-      counts.(b) <- counts.(b) + 1)
-    xs;
-  Array.mapi
-    (fun i c ->
-      let blo = lo +. (float_of_int i *. width) in
-      (blo, blo +. width, c))
-    counts

@@ -9,8 +9,6 @@ val mean : float array -> float
 (** [variance xs] — unbiased sample variance (0 for singletons). *)
 val variance : float array -> float
 
-val stddev : float array -> float
-
 (** [percentile xs p] with [p] in [0,100], linear interpolation between
     order statistics.  Does not mutate [xs]. *)
 val percentile : float array -> float -> float
@@ -32,7 +30,3 @@ val loglog_slope : float array -> float array -> float * float
 (** [wilson_interval ~successes ~trials] — 95% Wilson score confidence
     interval for a binomial proportion, as [(lo, hi)]. *)
 val wilson_interval : successes:int -> trials:int -> float * float
-
-(** [histogram xs ~bins] returns [(lo, hi, count) array] covering the data
-    range with [bins] equal-width buckets. *)
-val histogram : float array -> bins:int -> (float * float * int) array

@@ -36,6 +36,10 @@ module Writer = struct
   let length t = Buffer.length t
 end
 
+let varint_len v =
+  let rec go v acc = if v < 0x80 then acc else go (v lsr 7) (acc + 1) in
+  go v 1
+
 type invalid =
   | Truncated
   | Trailing of int
@@ -127,8 +131,3 @@ let decode data f =
   | v -> if Reader.at_end r then Ok v else Error (Trailing (Reader.remaining r))
   | exception Reader.Truncated -> Error Truncated
   | exception Reader.Invalid inv -> Error inv
-
-let encoded_bits f =
-  let w = Writer.create () in
-  f w;
-  8 * Writer.length w

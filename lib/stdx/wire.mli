@@ -36,6 +36,10 @@ module Writer : sig
   val length : t -> int
 end
 
+(** [varint_len v] — the number of bytes [Writer.varint] writes for
+    [v], computed without encoding (codecs price messages with it). *)
+val varint_len : int -> int
+
 (** Typed decode failure.  Every decode path in the stack reports
     malformed input as one of these — never an uncaught exception, never
     silent acceptance of a mangled value. *)
@@ -90,5 +94,3 @@ end
     input. *)
 val decode : Bytes.t -> (Reader.t -> 'a) -> ('a, invalid) result
 
-(** [encoded_bits f] — 8 × the number of bytes [f] writes. *)
-val encoded_bits : (Writer.t -> unit) -> int

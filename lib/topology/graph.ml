@@ -57,9 +57,6 @@ let degree t v = Array.length t.adj.(v)
 
 let max_degree t = Array.fold_left (fun acc a -> Stdlib.max acc (Array.length a)) 0 t.adj
 
-let min_degree t =
-  Array.fold_left (fun acc a -> Stdlib.min acc (Array.length a)) t.size t.adj
-
 let is_connected t =
   let seen = Array.make t.size false in
   let queue = Queue.create () in

@@ -27,7 +27,6 @@ val adjacent : t -> int -> int -> bool
 
 val degree : t -> int -> int
 val max_degree : t -> int
-val min_degree : t -> int
 
 (** [is_connected g] — BFS reachability from vertex 0. *)
 val is_connected : t -> bool

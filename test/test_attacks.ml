@@ -216,7 +216,7 @@ let run_attack ?(quarantine = true) ~name ~seed ~n () =
 let test_quarantine_trace_roundtrip () =
   let file = Filename.temp_file "ks_attacks" ".jsonl" in
   let sink = Trace.file file in
-  let hub = Ks_monitor.Hub.create ~trace:sink ~trace_sends:false [] in
+  let hub = Ks_monitor.Hub.create ~trace:sink [] in
   let r =
     Ks_monitor.Hub.with_ambient hub (fun () ->
         run_attack ~name:"wire-junk" ~seed:9L ~n:32 ())

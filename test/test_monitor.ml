@@ -281,6 +281,57 @@ let test_bit_budget_label_scoped () =
   in
   Alcotest.(check (list string)) "unwatched label: quiet" [] (invariants vs)
 
+(* Two nets on one hub, each with a corrupt processor 0 that floods.
+   Every good processor sends a 5-bit and then a 3-bit message per round,
+   so its running total (5, 8, 13, 16, 21, 24, 29, ...) crosses the bound
+   [4n] mid-round: 16 at n=4 is crossed by round 2's first message (21),
+   24 at n=6 by round 3's first message (29). *)
+let test_bit_budget_two_nets_flood () =
+  let flood =
+    Ks_sim.Adversary.make ~name:"flood"
+      ~initial_corruptions:(fun _ ~n:_ ~budget:_ -> [ 0 ])
+      ~act:(fun v ->
+        List.init 40 (fun i -> { src = 0; dst = 1 + (i mod (v.view_n - 1)); payload = 100 }))
+      ()
+  in
+  let two_msgs ~n =
+    {
+      Ks_sim.Engine.init = (fun _ -> ());
+      step =
+        (fun ~round:_ ~me () ~inbox:_ ->
+          ( (),
+            [
+              { src = me; dst = (me + 1) mod n; payload = 5 };
+              { src = me; dst = (me + 2) mod n; payload = 3 };
+            ] ));
+    }
+  in
+  let hub = Hub.create [ Monitor.bit_budget ~bound:(fun ~n -> float_of_int (4 * n)) () ] in
+  let flood_bits =
+    List.map
+      (fun n ->
+        let net = mk_net ~hub ~n ~budget:1 ~strategy:flood () in
+        ignore (Ks_sim.Engine.run net (two_msgs ~n) ~rounds:5);
+        Ks_sim.Meter.sent_bits (Ks_sim.Net.meter net) 0)
+      [ 4; 6 ]
+  in
+  Alcotest.(check bool) "the flooder's metered bits are far over both bounds" true
+    (List.for_all (fun b -> b > 1000) flood_bits);
+  let got =
+    List.map
+      (fun v ->
+        ( v.Monitor.net,
+          Option.value ~default:(-1) v.Monitor.proc,
+          v.Monitor.round,
+          int_of_float v.Monitor.observed ))
+      (Hub.finish hub)
+  in
+  let expect net n round observed = List.init (n - 1) (fun i -> (net, i + 1, round, observed)) in
+  Alcotest.(check (list (pair (pair int int) (pair int int))))
+    "each good processor once per net, at its crossing round and running total"
+    (List.map (fun (a, b, c, d) -> ((a, b), (c, d))) (expect 1 4 2 21 @ expect 2 6 3 29))
+    (List.map (fun (a, b, c, d) -> ((a, b), (c, d))) got)
+
 let test_round_bound_fires () =
   let vs =
     violations_of
@@ -304,18 +355,6 @@ let test_termination_fires () =
   Alcotest.(check (list string)) "fires" [ "termination" ] (invariants vs);
   Alcotest.(check int) "two procs never decided" 2 (List.length vs)
 
-let test_engine_installs_monitors () =
-  (* The [?monitors] path through Engine.run, without an ambient hub. *)
-  let net = mk_net ~n:4 () in
-  ignore
-    (Ks_sim.Engine.run net (ring_protocol ~n:4) ~rounds:6
-       ~monitors:[ Monitor.round_bound ~bound:(fun ~n:_ -> 3.0) () ]);
-  match Ks_sim.Net.hub net with
-  | None -> Alcotest.fail "Engine.run did not attach a hub"
-  | Some hub ->
-    Alcotest.(check (list string)) "fires" [ "round-bound" ]
-      (invariants (Hub.finish hub))
-
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
@@ -330,6 +369,37 @@ let test_violation_report_renders () =
   let table = Hub.render_violations vs in
   Alcotest.(check bool) "mentions invariant" true (contains table "termination");
   Alcotest.(check bool) "mentions header" true (contains table "INVARIANT VIOLATIONS")
+
+(* --- Monitoring cost ---------------------------------------------------- *)
+
+(* The always-on monitors must stay cheap next to the run they watch:
+   [Experiments.standard_monitors] may add at most 10% to the minor-heap
+   words of a run with no hub. *)
+let test_standard_monitors_allocation () =
+  let params = Params.practical 32 in
+  let inputs = Array.init 32 (fun i -> i mod 2 = 0) in
+  let words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let check name run =
+    run ();
+    let plain = words run in
+    let hub = Hub.create (Ks_workload.Experiments.standard_monitors ()) in
+    let monitored = words (fun () -> Hub.with_ambient hub run) in
+    (* Everywhere at n=32 exceeds the asymptotic bit envelope, so the
+       bit budget fires there; that is not what this test measures. *)
+    ignore (Hub.finish hub);
+    let ratio = monitored /. plain in
+    Printf.printf "%s: monitored/plain minor words = %.3f\n" name ratio;
+    if ratio > 1.10 then
+      Alcotest.failf "%s: monitored run allocates %.2fx the unmonitored one" name ratio
+  in
+  check "rabin byz-static" (fun () ->
+      ignore (Attacks.rabin ~params ~seed:5L ~inputs Attacks.byzantine_static));
+  check "everywhere honest" (fun () ->
+      ignore (Attacks.everywhere ~params ~seed:5L ~inputs Attacks.honest))
 
 (* --- Property-based adversarial sweep (the ISSUE's harness) ---------- *)
 
@@ -403,12 +473,17 @@ let () =
           Alcotest.test_case "bit budget fires" `Quick test_bit_budget_fires;
           Alcotest.test_case "bit budget label-scoped" `Quick
             test_bit_budget_label_scoped;
+          Alcotest.test_case "bit budget: two nets, flooding corrupt sender" `Quick
+            test_bit_budget_two_nets_flood;
           Alcotest.test_case "round bound fires" `Quick test_round_bound_fires;
           Alcotest.test_case "termination fires" `Quick test_termination_fires;
-          Alcotest.test_case "engine installs monitors" `Quick
-            test_engine_installs_monitors;
           Alcotest.test_case "violation table renders" `Quick
             test_violation_report_renders;
+        ] );
+      ( "cost",
+        [
+          Alcotest.test_case "standard monitors add at most 10% allocation" `Quick
+            test_standard_monitors_allocation;
         ] );
       ( "adversarial-properties",
         [
