@@ -638,14 +638,14 @@ let generic_strategy t ~budget = silent t.name t.schedule ~budget
 
 (* --- runners: the strategy aimed at the tree the protocol builds --------- *)
 
-let everywhere ?fraction ?cap ?retries ?quarantine ~params ~seed ~inputs t =
+let everywhere ?fraction ?retries ?quarantine ~params ~seed ~inputs t =
   let budget = budget_of ?fraction t ~params in
   let tree = Ks_core.Everywhere.tree ~params ~seed in
   Ks_core.Everywhere.run ?retries ?quarantine ~params ~seed ~inputs
     ~behavior:t.behavior
     ~tree_strategy:(t.tree ~params ~budget ~tree)
     ~a2e_strategy:(fun ~carried ~coin -> t.a2e ~params ~budget ~carried ~coin)
-    ~budget:(Option.value cap ~default:budget) ()
+    ~budget ()
 
 let ae ?fraction ?retries ?quarantine ~params ~seed ~inputs t =
   let budget = budget_of ?fraction t ~params in
@@ -653,9 +653,9 @@ let ae ?fraction ?retries ?quarantine ~params ~seed ~inputs t =
   Ks_core.Ae_ba.run ?retries ?quarantine ~params ~seed ~inputs ~behavior:t.behavior
     ~strategy:(t.tree ~params ~budget ~tree) ~budget ()
 
-let rabin ?fraction ?cap ~params ~seed ~inputs t =
+let rabin ?fraction ~params ~seed ~inputs t =
   let n = params.Params.n in
   let budget = budget_of ?fraction t ~params in
-  Ks_baselines.Rabin.run ~seed ~n ~budget:(Option.value cap ~default:budget)
+  Ks_baselines.Rabin.run ~seed ~n ~budget
     ~rounds:((2 * Ks_stdx.Intmath.ceil_log2 n) + 6)
     ~epsilon:params.Params.epsilon ~inputs ~strategy:(t.vote ~params ~budget)

@@ -107,12 +107,11 @@ val generic_strategy : t -> budget:int -> 'msg Ks_sim.Types.strategy
 
     Each runs a protocol under [t] at [?fraction] (default [t.fraction])
     and gives the tree-phase strategy the tree that protocol builds from
-    [seed].  [?cap] sets the network's corruption budget apart from the
-    strategy's count (default: equal). *)
+    [seed].  The strategy corrupts exactly the network's budget,
+    [budget_of ?fraction t]. *)
 
 val everywhere :
   ?fraction:float ->
-  ?cap:int ->
   ?retries:int ->
   ?quarantine:bool ->
   params:Ks_core.Params.t ->
@@ -134,7 +133,6 @@ val ae :
 (** Rabin's O(n²) baseline for [2⌈log₂ n⌉ + 6] rounds under [t.vote]. *)
 val rabin :
   ?fraction:float ->
-  ?cap:int ->
   params:Ks_core.Params.t ->
   seed:int64 ->
   inputs:bool array ->

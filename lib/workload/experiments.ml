@@ -223,13 +223,14 @@ let t4_aeba_coins ?(n = 256) ?(trials = 10) () =
   let epsilon = params.Ks_core.Params.epsilon in
   let target = 1.0 -. (2.0 /. float_of_int lg) in
   let scenario = Ks_attacks.byzantine_static in
+  (* The vote strategy corrupts the row's fraction, not the entry's own. *)
   let run ~rounds ~fraction ~coin ~seed =
-    let budget = int_of_float (fraction *. float_of_int n) in
+    let budget = Ks_attacks.budget ~params ~fraction in
     let rng = Prng.create (seed_of n (seed + 31)) in
     let inputs = Inputs.generate rng ~n Inputs.Split in
     Ks_core.Aeba_coin.run_standalone ~seed:(seed_of n (seed + 31)) ~n ~degree
       ~rounds ~epsilon ~budget ~inputs
-      ~strategy:(Ks_attacks.vote_strategy scenario ~params)
+      ~strategy:(scenario.Ks_attacks.vote ~params ~budget)
       ~coin ()
   in
   let success_rate ~rounds ~fraction ~coin =
@@ -290,12 +291,12 @@ let t4_aeba_coins ?(n = 256) ?(trials = 10) () =
       (fun fraction ->
         let ok = ref 0 in
         for seed = 1 to trials do
-          let budget = int_of_float (fraction *. float_of_int n) in
+          let budget = Ks_attacks.budget ~params ~fraction in
           let o =
             Ks_core.Aeba_coin.run_standalone ~seed:(seed_of n (seed + 63)) ~n
               ~degree ~rounds:(lg + 4) ~epsilon ~budget
               ~inputs:(Array.make n false)
-              ~strategy:(Ks_attacks.vote_strategy scenario ~params)
+              ~strategy:(scenario.Ks_attacks.vote ~params ~budget)
               ~coin:Ks_core.Aeba_coin.Ideal ()
           in
           if o.Ks_core.Aeba_coin.agreement >= target && o.Ks_core.Aeba_coin.valid
@@ -673,13 +674,12 @@ let t11_ablation ?(n = 64) ?(seeds = [ 1; 2; 3 ]) () =
       (fun (label, params) ->
         (* Stress at 30% corruption — the margins the ablated choices buy
            only show near the threshold. *)
-        let budget = Stdlib.min (n - 1) (3 * n / 10) in
         let runs =
           List.map
             (fun seed ->
               let seed = seed_of n (seed + 1300) in
               let inputs = Inputs.generate (Prng.create seed) ~n Inputs.Split in
-              Ks_attacks.everywhere ~cap:budget ~params ~seed ~inputs
+              Ks_attacks.everywhere ~fraction:0.30 ~params ~seed ~inputs
                 Ks_attacks.byzantine_static)
             seeds
         in
@@ -920,11 +920,11 @@ let t16_faults ?(n = 32) ?(seeds = [ 1; 2 ]) () =
             Ks_core.Everywhere.carry_corruptions Ks_sim.Adversary.none ~carried)
           ~budget ())
   in
-  let rabin_run plan ~budget ~seed =
+  let rabin_run plan ~fraction ~seed =
     Ks_faults.Plan.with_plan plan (fun () ->
         let seed = seed_of n (seed + 5300) in
         let inputs = Inputs.generate (Prng.create seed) ~n Inputs.Split in
-        Ks_attacks.rabin ~cap:budget ~params ~seed ~inputs Ks_attacks.byzantine_static)
+        Ks_attacks.rabin ~fraction ~params ~seed ~inputs Ks_attacks.byzantine_static)
   in
   (* Every (plan, fraction) cell once; the fault-free row doubles as the
      bits reference for the overhead column. *)
@@ -934,14 +934,12 @@ let t16_faults ?(n = 32) ?(seeds = [ 1; 2 ]) () =
         ( label,
           List.map
             (fun f ->
-              let budget =
-                Stdlib.min (n - 1) (int_of_float (f *. float_of_int n))
-              in
+              let budget = Ks_attacks.budget ~params ~fraction:f in
               let runs =
                 List.map (fun seed -> everywhere_run plan ~budget ~seed) seeds
               in
               let rabins =
-                List.map (fun seed -> rabin_run plan ~budget ~seed) seeds
+                List.map (fun seed -> rabin_run plan ~fraction:f ~seed) seeds
               in
               (f, runs, rabins))
             fractions ))
