@@ -26,11 +26,8 @@ val register_net : t -> label:string -> n:int -> budget:int -> int
 (** [phase t name] — emit a protocol-phase marker. *)
 val phase : t -> string -> unit
 
-(** Violations collected so far, oldest first. *)
-val violations : t -> Monitor.violation list
-
 (** [finish t] — run every monitor's end-of-run check, close the trace,
-    and return all violations.  Idempotent. *)
+    and return all violations, oldest first.  Idempotent. *)
 val finish : t -> Monitor.violation list
 
 (** [render_violations vs] — the violation table ([Ks_stdx.Table]). *)

@@ -317,20 +317,21 @@ let test_bit_budget_two_nets_flood () =
   in
   Alcotest.(check bool) "the flooder's metered bits are far over both bounds" true
     (List.for_all (fun b -> b > 1000) flood_bits);
-  let got =
-    List.map
-      (fun v ->
-        ( v.Monitor.net,
-          Option.value ~default:(-1) v.Monitor.proc,
-          v.Monitor.round,
-          int_of_float v.Monitor.observed ))
-      (Hub.finish hub)
+  let show ~net ~proc ~round ~observed =
+    Printf.sprintf "net %d proc %d round %d observed %d" net proc round observed
   in
-  let expect net n round observed = List.init (n - 1) (fun i -> (net, i + 1, round, observed)) in
-  Alcotest.(check (list (pair (pair int int) (pair int int))))
+  let expect net n round observed =
+    List.init (n - 1) (fun i -> show ~net ~proc:(i + 1) ~round ~observed)
+  in
+  Alcotest.(check (list string))
     "each good processor once per net, at its crossing round and running total"
-    (List.map (fun (a, b, c, d) -> ((a, b), (c, d))) (expect 1 4 2 21 @ expect 2 6 3 29))
-    (List.map (fun (a, b, c, d) -> ((a, b), (c, d))) got)
+    (expect 1 4 2 21 @ expect 2 6 3 29)
+    (List.map
+       (fun v ->
+         show ~net:v.Monitor.net
+           ~proc:(Option.value ~default:(-1) v.Monitor.proc)
+           ~round:v.Monitor.round ~observed:(int_of_float v.Monitor.observed))
+       (Hub.finish hub))
 
 let test_round_bound_fires () =
   let vs =
@@ -384,6 +385,7 @@ let test_standard_monitors_allocation () =
     Gc.minor_words () -. before
   in
   let check name run =
+    (* A warm-up run, so one-time initialisation is charged to neither side. *)
     run ();
     let plain = words run in
     let hub = Hub.create (Ks_workload.Experiments.standard_monitors ()) in
@@ -392,7 +394,6 @@ let test_standard_monitors_allocation () =
        bit budget fires there; that is not what this test measures. *)
     ignore (Hub.finish hub);
     let ratio = monitored /. plain in
-    Printf.printf "%s: monitored/plain minor words = %.3f\n" name ratio;
     if ratio > 1.10 then
       Alcotest.failf "%s: monitored run allocates %.2fx the unmonitored one" name ratio
   in
