@@ -5,7 +5,22 @@ module Intmath = Ks_stdx.Intmath
 
 type row = string list
 
-let seed_of n seed = Int64.add (Int64.mul 1000003L (Int64.of_int n)) (Int64.of_int seed)
+(* One cell's replicas: [f] once per seed [s] of [seeds], at protocol
+   seed [n]·1000003 + s + [offset] (each table keeps its own offset, so
+   no two tables share a stream), results in seed order. *)
+let replicate ~n ~offset seeds f =
+  List.map
+    (fun s ->
+      f (Int64.add (Int64.mul 1000003L (Int64.of_int n)) (Int64.of_int (s + offset))))
+    seeds
+
+(* The split inputs a replica draws from its own protocol seed. *)
+let split_inputs ~n seed = Inputs.generate (Prng.create seed) ~n Inputs.Split
+
+let count p xs = List.fold_left (fun k x -> if p x then k + 1 else k) 0 xs
+let rate p xs = float_of_int (count p xs) /. float_of_int (List.length xs)
+let tally p xs = Printf.sprintf "%d/%d" (count p xs) (List.length xs)
+let mean f xs = Stats.mean (Array.of_list (List.map f xs))
 
 type scaling_point = {
   n : int;
@@ -20,15 +35,12 @@ type scaling_point = {
   ks_success : bool;
 }
 
-let mean_of xs = Stats.mean (Array.of_list xs)
-
 (* One full King–Saia run plus both baselines at a given n/seed, all under
    a 25% static Byzantine adversary. *)
-let scaling_run ~n ~seed =
+let scaling_run ~n seed =
   let params = Ks_core.Params.practical n in
   let scenario = Ks_attacks.byzantine_static in
-  let seed = seed_of n seed in
-  let inputs = Inputs.generate (Prng.create seed) ~n Inputs.Split in
+  let inputs = split_inputs ~n seed in
   let res = Ks_attacks.everywhere ~params ~seed ~inputs scenario in
   let rabin = Ks_attacks.rabin ~params ~seed ~inputs scenario in
   let pk_faults = Stdlib.max 1 (n / 5) in
@@ -43,8 +55,8 @@ let scaling_run ~n ~seed =
 let collect_scaling ~ns ~seeds =
   List.map
     (fun n ->
-      let runs = List.map (fun seed -> scaling_run ~n ~seed) seeds in
-      let f sel = mean_of (List.map sel runs) in
+      let runs = replicate ~n ~offset:0 seeds (scaling_run ~n) in
+      let f sel = mean sel runs in
       {
         n;
         ks_ae_bits = f (fun (r, _, _) -> float_of_int r.Ks_core.Everywhere.max_sent_bits_ae);
@@ -179,32 +191,20 @@ let t3_ae_agreement ?(ns = [ 64; 128 ]) ?(seeds = [ 1; 2 ]) () =
         List.map
           (fun sc ->
             let runs =
-              List.map
-                (fun seed ->
-                  let seed = seed_of n (seed + 77) in
-                  let inputs = Inputs.generate (Prng.create seed) ~n Inputs.Split in
-                  Ks_attacks.ae ~params ~seed ~inputs sc)
-                seeds
-            in
-            let agreement = mean_of (List.map (fun r -> r.Ks_core.Ae_ba.agreement) runs) in
-            let valid =
-              List.length (List.filter (fun r -> r.Ks_core.Ae_ba.valid) runs)
+              replicate ~n ~offset:77 seeds (fun seed ->
+                  Ks_attacks.ae ~params ~seed ~inputs:(split_inputs ~n seed) sc)
             in
             let gw =
-              mean_of
-                (List.concat_map
-                   (fun r ->
-                     List.map
-                       (fun (e : Ks_core.Ae_ba.election_stats) -> e.good_winner_fraction)
-                       r.Ks_core.Ae_ba.elections)
-                   runs)
+              mean
+                (fun (e : Ks_core.Ae_ba.election_stats) -> e.good_winner_fraction)
+                (List.concat_map (fun r -> r.Ks_core.Ae_ba.elections) runs)
             in
             [
               Table.fint n;
               sc.Ks_attacks.name;
-              Table.fpct agreement;
+              Table.fpct (mean (fun r -> r.Ks_core.Ae_ba.agreement) runs);
               Table.fpct target;
-              Printf.sprintf "%d/%d" valid (List.length runs);
+              tally (fun r -> r.Ks_core.Ae_ba.valid) runs;
               Table.fpct gw;
             ])
           scenarios)
@@ -223,35 +223,30 @@ let t4_aeba_coins ?(n = 256) ?(trials = 10) () =
   let epsilon = params.Ks_core.Params.epsilon in
   let target = 1.0 -. (2.0 /. float_of_int lg) in
   let scenario = Ks_attacks.byzantine_static in
-  (* The vote strategy corrupts the row's fraction, not the entry's own. *)
-  let run ~rounds ~fraction ~coin ~seed =
+  (* Success = near-total agreement on a good input (agreement without
+     validity is what an over-budget adversary still allows).  The vote
+     strategy corrupts the row's fraction, not the entry's own. *)
+  let success_rate ?(offset = 31) ?inputs ?(coin = Ks_core.Aeba_coin.Ideal)
+      ~rounds ~fraction () =
     let budget = Ks_attacks.budget ~params ~fraction in
-    let rng = Prng.create (seed_of n (seed + 31)) in
-    let inputs = Inputs.generate rng ~n Inputs.Split in
-    Ks_core.Aeba_coin.run_standalone ~seed:(seed_of n (seed + 31)) ~n ~degree
-      ~rounds ~epsilon ~budget ~inputs
-      ~strategy:(scenario.Ks_attacks.vote ~params ~budget)
-      ~coin ()
-  in
-  let success_rate ~rounds ~fraction ~coin =
-    (* Success = near-total agreement on a good input (agreement without
-       validity is what an over-budget adversary still allows). *)
-    let ok = ref 0 in
-    for seed = 1 to trials do
-      let o = run ~rounds ~fraction ~coin ~seed in
-      if o.Ks_core.Aeba_coin.agreement >= target && o.Ks_core.Aeba_coin.valid then
-        incr ok
-    done;
-    float_of_int !ok /. float_of_int trials
+    replicate ~n ~offset (List.init trials succ) (fun seed ->
+        let inputs =
+          match inputs with Some i -> i | None -> split_inputs ~n seed
+        in
+        Ks_core.Aeba_coin.run_standalone ~seed ~n ~degree ~rounds ~epsilon ~budget
+          ~inputs
+          ~strategy:(scenario.Ks_attacks.vote ~params ~budget)
+          ~coin ())
+    |> rate (fun o ->
+           o.Ks_core.Aeba_coin.agreement >= target && o.Ks_core.Aeba_coin.valid)
   in
   let part_a =
     List.map
       (fun rounds ->
-        let rate = success_rate ~rounds ~fraction:0.25 ~coin:Ks_core.Aeba_coin.Ideal in
         [
           Printf.sprintf "rounds=%d" rounds;
           "f=0.25, ideal coin";
-          Table.fpct rate;
+          Table.fpct (success_rate ~rounds ~fraction:0.25 ());
           Printf.sprintf "1-2^-%d=%.3f" rounds (1.0 -. (0.5 ** float_of_int rounds));
         ])
       [ 1; 2; 3; 4; 6; 8 ]
@@ -259,13 +254,10 @@ let t4_aeba_coins ?(n = 256) ?(trials = 10) () =
   let part_b =
     List.map
       (fun fraction ->
-        let rate =
-          success_rate ~rounds:(lg + 4) ~fraction ~coin:Ks_core.Aeba_coin.Ideal
-        in
         [
           Printf.sprintf "f=%.2f" fraction;
           Printf.sprintf "rounds=%d, ideal coin" (lg + 4);
-          Table.fpct rate;
+          Table.fpct (success_rate ~rounds:(lg + 4) ~fraction ());
           (if fraction < 1.0 /. 3.0 then "should succeed" else "beyond 1/3");
         ])
       [ 0.10; 0.20; 0.25; 0.30; 0.33; 0.36 ]
@@ -273,8 +265,12 @@ let t4_aeba_coins ?(n = 256) ?(trials = 10) () =
   let part_c =
     List.map
       (fun (label, coin) ->
-        let rate = success_rate ~rounds:(lg + 4) ~fraction:0.25 ~coin in
-        [ label; Printf.sprintf "f=0.25, rounds=%d" (lg + 4); Table.fpct rate; "" ])
+        [
+          label;
+          Printf.sprintf "f=0.25, rounds=%d" (lg + 4);
+          Table.fpct (success_rate ~coin ~rounds:(lg + 4) ~fraction:0.25 ());
+          "";
+        ])
       [
         ("ideal coin", Ks_core.Aeba_coin.Ideal);
         ("coin missed 10%", Ks_core.Aeba_coin.Unreliable 0.1);
@@ -289,23 +285,12 @@ let t4_aeba_coins ?(n = 256) ?(trials = 10) () =
   let part_d =
     List.map
       (fun fraction ->
-        let ok = ref 0 in
-        for seed = 1 to trials do
-          let budget = Ks_attacks.budget ~params ~fraction in
-          let o =
-            Ks_core.Aeba_coin.run_standalone ~seed:(seed_of n (seed + 63)) ~n
-              ~degree ~rounds:(lg + 4) ~epsilon ~budget
-              ~inputs:(Array.make n false)
-              ~strategy:(scenario.Ks_attacks.vote ~params ~budget)
-              ~coin:Ks_core.Aeba_coin.Ideal ()
-          in
-          if o.Ks_core.Aeba_coin.agreement >= target && o.Ks_core.Aeba_coin.valid
-          then incr ok
-        done;
         [
           Printf.sprintf "validity f=%.2f" fraction;
           Printf.sprintf "unanimous-0 inputs, minority echo";
-          Table.fpct (float_of_int !ok /. float_of_int trials);
+          Table.fpct
+            (success_rate ~offset:63 ~inputs:(Array.make n false) ~rounds:(lg + 4)
+               ~fraction ());
           "erodes below 1/3 at sparse degree";
         ])
       [ 0.10; 0.15; 0.20; 0.25; 0.30 ]
@@ -395,9 +380,8 @@ let t6_a2e ?(ns = [ 256; 1024 ]) ?(seeds = [ 1; 2; 3 ]) () =
             in
             let budget = Ks_attacks.budget_of scenario ~params in
             let runs =
-              List.map
-                (fun seed ->
-                  let rng = Prng.create (seed_of n (seed + 555)) in
+              replicate ~n ~offset:555 seeds (fun seed ->
+                  let rng = Prng.create seed in
                   (* Knowledgeable majority holds M = 1; a slice of good
                      processors is confused (believes 0). *)
                   let m_value = 1 in
@@ -417,8 +401,7 @@ let t6_a2e ?(ns = [ 256; 1024 ]) ?(seeds = [ 1; 2; 3 ]) () =
                     Ks_attacks.a2e_strategy scenario ~params ~coin ~carried:[]
                   in
                   let net =
-                    Ks_sim.Net.create ~label:"a2e" ~seed:(seed_of n (seed + 555))
-                      ~n ~budget
+                    Ks_sim.Net.create ~label:"a2e" ~seed ~n ~budget
                       ~msg_bits:Ks_core.Ae_to_e.msg_bits
                       ~strategy ()
                   in
@@ -434,26 +417,16 @@ let t6_a2e ?(ns = [ 256; 1024 ]) ?(seeds = [ 1; 2; 3 ]) () =
                         | None -> all_ok := false)
                     res.Ks_core.Ae_to_e.decided;
                   (res, !all_ok, !wrong))
-                seeds
             in
-            let succ = List.length (List.filter (fun (_, ok, _) -> ok) runs) in
-            let wrongs = List.fold_left (fun acc (_, _, w) -> acc + w) 0 runs in
-            let bits =
-              mean_of
-                (List.map (fun (r, _, _) -> float_of_int r.Ks_core.Ae_to_e.max_sent_bits) runs)
-            in
-            let overloads =
-              List.fold_left
-                (fun acc (r, _, _) -> acc + r.Ks_core.Ae_to_e.overloaded_events)
-                0 runs
-            in
+            let sum f = List.fold_left (fun acc run -> acc + f run) 0 runs in
             [
               Table.fint n;
               label;
-              Printf.sprintf "%d/%d" succ (List.length runs);
-              Table.fint wrongs;
-              Table.fbits bits;
-              Table.fint overloads;
+              tally (fun (_, ok, _) -> ok) runs;
+              Table.fint (sum (fun (_, _, w) -> w));
+              Table.fbits
+                (mean (fun (r, _, _) -> float_of_int r.Ks_core.Ae_to_e.max_sent_bits) runs);
+              Table.fint (sum (fun (r, _, _) -> r.Ks_core.Ae_to_e.overloaded_events));
             ])
           [ ("byz-static", false); ("flood", true) ])
       ns
@@ -605,36 +578,17 @@ let t9_threshold ?(n = 64) ?(seeds = [ 1; 2; 3 ]) () =
   let rows =
     List.map
       (fun f ->
-        let budget = Stdlib.min (n - 1) (int_of_float (f *. float_of_int n)) in
         let runs =
-          List.map
-            (fun seed ->
-              let rng = Prng.create (seed_of n (seed + 999)) in
-              let inputs = Inputs.generate rng ~n Inputs.Split in
-              let strategy =
-                Ks_sim.Adversary.make ~name:"static"
-                  ~initial_corruptions:(fun rng ~n ~budget:b ->
-                    Ks_sim.Adversary.uniform_random_set rng ~n
-                      ~budget:(Stdlib.min budget b))
-                  ()
-              in
-              Ks_core.Everywhere.run ~params ~seed:(seed_of n (seed + 999)) ~inputs
-                ~behavior:Ks_attacks.byzantine_static.behavior ~tree_strategy:strategy
-                ~a2e_strategy:(fun ~carried ~coin:_ ->
-                  Ks_core.Everywhere.carry_corruptions Ks_sim.Adversary.none ~carried)
-                ~budget ())
-            seeds
-        in
-        let succ = List.length (List.filter (fun r -> r.Ks_core.Everywhere.success) runs) in
-        let safe = List.length (List.filter (fun r -> r.Ks_core.Everywhere.safe) runs) in
-        let agreement =
-          mean_of (List.map (fun r -> r.Ks_core.Everywhere.ae.Ks_core.Ae_ba.agreement) runs)
+          replicate ~n ~offset:999 seeds (fun seed ->
+              Ks_attacks.everywhere ~fraction:f ~params ~seed
+                ~inputs:(split_inputs ~n seed) Ks_attacks.byzantine_static)
         in
         [
           Table.fpct f;
-          Printf.sprintf "%d/%d" succ (List.length seeds);
-          Printf.sprintf "%d/%d" safe (List.length seeds);
-          Table.fpct agreement;
+          tally (fun r -> r.Ks_core.Everywhere.success) runs;
+          tally (fun r -> r.Ks_core.Everywhere.safe) runs;
+          Table.fpct
+            (mean (fun r -> r.Ks_core.Everywhere.ae.Ks_core.Ae_ba.agreement) runs);
           (if f < 1.0 /. 3.0 then "< 1/3" else ">= 1/3");
         ])
       [ 0.15; 0.20; 0.25; 0.30; 0.33; 0.36; 0.40 ]
@@ -675,27 +629,17 @@ let t11_ablation ?(n = 64) ?(seeds = [ 1; 2; 3 ]) () =
         (* Stress at 30% corruption — the margins the ablated choices buy
            only show near the threshold. *)
         let runs =
-          List.map
-            (fun seed ->
-              let seed = seed_of n (seed + 1300) in
-              let inputs = Inputs.generate (Prng.create seed) ~n Inputs.Split in
-              Ks_attacks.everywhere ~fraction:0.30 ~params ~seed ~inputs
-                Ks_attacks.byzantine_static)
-            seeds
-        in
-        let succ = List.length (List.filter (fun r -> r.Ks_core.Everywhere.success) runs) in
-        let agreement =
-          mean_of (List.map (fun r -> r.Ks_core.Everywhere.ae.Ks_core.Ae_ba.agreement) runs)
-        in
-        let bits =
-          mean_of
-            (List.map (fun r -> float_of_int r.Ks_core.Everywhere.max_sent_bits_total) runs)
+          replicate ~n ~offset:1300 seeds (fun seed ->
+              Ks_attacks.everywhere ~fraction:0.30 ~params ~seed
+                ~inputs:(split_inputs ~n seed) Ks_attacks.byzantine_static)
         in
         [
           label;
-          Printf.sprintf "%d/%d" succ (List.length runs);
-          Table.fpct agreement;
-          Table.fbits bits;
+          tally (fun r -> r.Ks_core.Everywhere.success) runs;
+          Table.fpct
+            (mean (fun r -> r.Ks_core.Everywhere.ae.Ks_core.Ae_ba.agreement) runs);
+          Table.fbits
+            (mean (fun r -> float_of_int r.Ks_core.Everywhere.max_sent_bits_total) runs);
         ])
       variants
   in
@@ -713,19 +657,19 @@ let t12_universe ?(n = 64) ?(seeds = [ 1; 2; 3 ]) () =
   let params = Ks_core.Params.practical n in
   let model_budget = Ks_core.Params.corruption_budget params in
   let upfront = model_budget / 2 in
+  let reduce seed =
+    let strategy =
+      Ks_sim.Adversary.make ~name:"half-upfront"
+        ~initial_corruptions:(fun rng ~n ~budget:_ ->
+          Ks_sim.Adversary.uniform_random_set rng ~n ~budget:upfront)
+        ()
+    in
+    Ks_core.Universe.reduce ~params ~seed ~behavior:Ks_core.Comm.Garbage ~strategy
+      ~budget:model_budget ()
+  in
   let rows =
-    List.map
-      (fun seed ->
-        let strategy =
-          Ks_sim.Adversary.make ~name:"half-upfront"
-            ~initial_corruptions:(fun rng ~n ~budget:_ ->
-              Ks_sim.Adversary.uniform_random_set rng ~n ~budget:upfront)
-            ()
-        in
-        let r =
-          Ks_core.Universe.reduce ~params ~seed:(seed_of n (seed + 2100))
-            ~behavior:Ks_core.Comm.Garbage ~strategy ~budget:model_budget ()
-        in
+    List.map2
+      (fun seed r ->
         [
           Printf.sprintf "seed %d" seed;
           Table.fint (Array.length r.Ks_core.Universe.committee);
@@ -735,6 +679,7 @@ let t12_universe ?(n = 64) ?(seeds = [ 1; 2; 3 ]) () =
           Table.fpct r.Ks_core.Universe.coin_distinct_rate;
         ])
       seeds
+      (replicate ~n ~offset:2100 seeds reduce)
   in
   Table.print
     ~title:
@@ -759,12 +704,8 @@ let t13_kssv ?(n = 256) ?(seeds = [ 1; 2; 3 ]) () =
   let rows =
     List.concat_map
       (fun adaptive ->
-        List.map
-          (fun seed ->
-            let r =
-              Ks_baselines.Kssv_tournament.run ~seed:(seed_of n (seed + 3100))
-                ~params ~adaptive ~budget
-            in
+        List.map2
+          (fun seed r ->
             [
               (if adaptive then "adaptive" else "static");
               Printf.sprintf "seed %d" seed;
@@ -773,7 +714,9 @@ let t13_kssv ?(n = 256) ?(seeds = [ 1; 2; 3 ]) () =
               Table.fint r.Ks_baselines.Kssv_tournament.corrupted_total;
               Table.fbits (float_of_int r.Ks_baselines.Kssv_tournament.max_sent_bits);
             ])
-          seeds)
+          seeds
+          (replicate ~n ~offset:3100 seeds (fun seed ->
+               Ks_baselines.Kssv_tournament.run ~seed ~params ~adaptive ~budget)))
       [ false; true ]
   in
   Table.print
@@ -823,17 +766,10 @@ let t15_async ?(ns = [ 32; 64; 128 ]) ?(seeds = [ 1; 2; 3 ]) () =
         List.map
           (fun (label, scheduler) ->
             let runs =
-              List.map
-                (fun seed ->
-                  let rng = Prng.create (seed_of n (seed + 4100)) in
-                  let inputs = Inputs.generate rng ~n Inputs.Split in
-                  Ks_async.Async_ba.run ~seed:(seed_of n (seed + 4100)) ~n ~f
-                    ~inputs ~byz:Ks_async.Async_ba.Equivocate ~scheduler
+              replicate ~n ~offset:4100 seeds (fun seed ->
+                  Ks_async.Async_ba.run ~seed ~n ~f ~inputs:(split_inputs ~n seed)
+                    ~byz:Ks_async.Async_ba.Equivocate ~scheduler
                     ~max_events:40_000_000 ())
-                seeds
-            in
-            let agree =
-              List.length (List.filter (fun o -> o.Ks_async.Async_ba.agreement) runs)
             in
             (* Safety: across every run, the decided values (ignoring the
                undecided) never conflict. *)
@@ -848,20 +784,15 @@ let t15_async ?(ns = [ 32; 64; 128 ]) ?(seeds = [ 1; 2; 3 ]) () =
                   List.length values <= 1)
                 runs
             in
-            let rounds =
-              mean_of (List.map (fun o -> float_of_int o.Ks_async.Async_ba.max_rounds) runs)
-            in
-            let bits =
-              mean_of
-                (List.map (fun o -> float_of_int o.Ks_async.Async_ba.max_sent_bits) runs)
-            in
             [
               Table.fint n;
               label;
-              Printf.sprintf "%d/%d" agree (List.length runs);
+              tally (fun o -> o.Ks_async.Async_ba.agreement) runs;
               (if safe then "yes" else "NO");
-              Table.ffloat ~decimals:1 rounds;
-              Table.fbits bits;
+              Table.ffloat ~decimals:1
+                (mean (fun o -> float_of_int o.Ks_async.Async_ba.max_rounds) runs);
+              Table.fbits
+                (mean (fun o -> float_of_int o.Ks_async.Async_ba.max_sent_bits) runs);
             ])
           [ ("fair", Ks_async.Async_net.Fair);
             ("starve n/8", Ks_async.Async_net.Delay_targets (List.init (n / 8) (fun i -> i))) ])
@@ -903,28 +834,15 @@ let t16_faults ?(n = 32) ?(seeds = [ 1; 2 ]) () =
     ]
   in
   let fractions = [ 0.20; 0.30; 0.36 ] in
-  let everywhere_run plan ~budget ~seed =
+  let everywhere_run plan ~fraction seed =
     Ks_faults.Plan.with_plan plan (fun () ->
-        let rng = Prng.create (seed_of n (seed + 5200)) in
-        let inputs = Inputs.generate rng ~n Inputs.Split in
-        let strategy =
-          Ks_sim.Adversary.make ~name:"static"
-            ~initial_corruptions:(fun rng ~n ~budget:b ->
-              Ks_sim.Adversary.uniform_random_set rng ~n
-                ~budget:(Stdlib.min budget b))
-            ()
-        in
-        Ks_core.Everywhere.run ~retries:2 ~params ~seed:(seed_of n (seed + 5200))
-          ~inputs ~behavior:Ks_attacks.byzantine_static.behavior ~tree_strategy:strategy
-          ~a2e_strategy:(fun ~carried ~coin:_ ->
-            Ks_core.Everywhere.carry_corruptions Ks_sim.Adversary.none ~carried)
-          ~budget ())
+        Ks_attacks.everywhere ~fraction ~retries:2 ~params ~seed
+          ~inputs:(split_inputs ~n seed) Ks_attacks.byzantine_static)
   in
-  let rabin_run plan ~fraction ~seed =
+  let rabin_run plan ~fraction seed =
     Ks_faults.Plan.with_plan plan (fun () ->
-        let seed = seed_of n (seed + 5300) in
-        let inputs = Inputs.generate (Prng.create seed) ~n Inputs.Split in
-        Ks_attacks.rabin ~fraction ~params ~seed ~inputs Ks_attacks.byzantine_static)
+        Ks_attacks.rabin ~fraction ~params ~seed ~inputs:(split_inputs ~n seed)
+          Ks_attacks.byzantine_static)
   in
   (* Every (plan, fraction) cell once; the fault-free row doubles as the
      bits reference for the overhead column. *)
@@ -933,21 +851,17 @@ let t16_faults ?(n = 32) ?(seeds = [ 1; 2 ]) () =
       (fun (label, plan) ->
         ( label,
           List.map
-            (fun f ->
-              let budget = Ks_attacks.budget ~params ~fraction:f in
+            (fun fraction ->
               let runs =
-                List.map (fun seed -> everywhere_run plan ~budget ~seed) seeds
+                replicate ~n ~offset:5200 seeds (everywhere_run plan ~fraction)
               in
-              let rabins =
-                List.map (fun seed -> rabin_run plan ~fraction:f ~seed) seeds
-              in
-              (f, runs, rabins))
+              let rabins = replicate ~n ~offset:5300 seeds (rabin_run plan ~fraction) in
+              (fraction, runs, rabins))
             fractions ))
       plans
   in
-  let mean_bits runs =
-    mean_of
-      (List.map (fun r -> float_of_int r.Ks_core.Everywhere.max_sent_bits_total) runs)
+  let mean_bits =
+    mean (fun r -> float_of_int r.Ks_core.Everywhere.max_sent_bits_total)
   in
   let base_bits f =
     match cells with
@@ -961,36 +875,17 @@ let t16_faults ?(n = 32) ?(seeds = [ 1; 2 ]) () =
       (fun (label, fcells) ->
         List.map
           (fun (f, runs, rabins) ->
-            let total = List.length runs in
-            let succ =
-              List.length (List.filter (fun r -> r.Ks_core.Everywhere.success) runs)
-            in
-            let degraded =
-              List.length (List.filter (fun r -> r.Ks_core.Everywhere.degraded) runs)
-            in
-            let retries =
-              mean_of
-                (List.map (fun r -> float_of_int r.Ks_core.Everywhere.retries_used) runs)
-            in
-            let fails =
-              mean_of
-                (List.map
-                   (fun r -> float_of_int r.Ks_core.Everywhere.decode_failures)
-                   runs)
-            in
-            let rabin_agree =
-              List.length
-                (List.filter (fun o -> o.Ks_baselines.Outcome.agreement) rabins)
-            in
             [
               label;
               Table.fpct f;
-              Printf.sprintf "%d/%d" succ total;
-              Printf.sprintf "%d/%d" degraded total;
-              Table.ffloat ~decimals:1 retries;
-              Table.ffloat ~decimals:1 fails;
+              tally (fun r -> r.Ks_core.Everywhere.success) runs;
+              tally (fun r -> r.Ks_core.Everywhere.degraded) runs;
+              Table.ffloat ~decimals:1
+                (mean (fun r -> float_of_int r.Ks_core.Everywhere.retries_used) runs);
+              Table.ffloat ~decimals:1
+                (mean (fun r -> float_of_int r.Ks_core.Everywhere.decode_failures) runs);
               Printf.sprintf "%.2fx" (mean_bits runs /. base_bits f);
-              Printf.sprintf "%d/%d" rabin_agree total;
+              tally (fun o -> o.Ks_baselines.Outcome.agreement) rabins;
             ])
           fcells)
       cells
@@ -1023,76 +918,48 @@ let t17_attacks ?(n = 32) ?(seeds = [ 1; 2 ]) () =
   (* 0.20 and 0.25 sit below the 1/3 threshold (budgets 6 and 8 of 32);
      0.36 rounds to 11/32 = 34.4%, deliberately past it. *)
   let fractions = [ 0.20; 0.25; 0.36 ] in
-  let everywhere_run atk ~quarantine ~fraction ~seed =
-    let seed = seed_of n (seed + 6200) in
-    let inputs = Inputs.generate (Prng.create seed) ~n Inputs.Split in
-    Ks_attacks.everywhere ~fraction ~retries:2 ~quarantine ~params ~seed ~inputs atk
-  in
-  let rabin_run atk ~fraction ~seed =
-    let seed = seed_of n (seed + 6300) in
-    let inputs = Inputs.generate (Prng.create seed) ~n Inputs.Split in
-    Ks_attacks.rabin ~fraction ~params ~seed ~inputs atk
-  in
   let rows =
     List.concat_map
       (fun atk ->
         List.concat_map
-          (fun f ->
+          (fun fraction ->
             let rabins =
-              List.map (fun seed -> rabin_run atk ~fraction:f ~seed) seeds
-            in
-            let rabin_agree =
-              List.length
-                (List.filter (fun o -> o.Ks_baselines.Outcome.agreement) rabins)
+              replicate ~n ~offset:6300 seeds (fun seed ->
+                  Ks_attacks.rabin ~fraction ~params ~seed
+                    ~inputs:(split_inputs ~n seed) atk)
             in
             List.map
               (fun quarantine ->
                 let runs =
-                  List.map
-                    (fun seed -> everywhere_run atk ~quarantine ~fraction:f ~seed)
-                    seeds
+                  replicate ~n ~offset:6200 seeds (fun seed ->
+                      Ks_attacks.everywhere ~fraction ~retries:2 ~quarantine ~params
+                        ~seed ~inputs:(split_inputs ~n seed) atk)
                 in
-                let total = List.length runs in
-                let succ =
-                  List.length
-                    (List.filter
-                       (fun r -> r.Ks_core.Everywhere.success)
-                       runs)
-                in
-                let bits =
-                  mean_of
-                    (List.map
-                       (fun r ->
-                         float_of_int r.Ks_core.Everywhere.max_sent_bits_total)
-                       runs)
-                in
-                let rounds =
-                  mean_of
-                    (List.map
+                [
+                  atk.Ks_attacks.name;
+                  Table.fpct fraction;
+                  (if quarantine then "on" else "off");
+                  tally (fun r -> r.Ks_core.Everywhere.success) runs;
+                  Table.ffloat ~decimals:0
+                    (mean
+                       (fun r -> float_of_int r.Ks_core.Everywhere.max_sent_bits_total)
+                       runs
+                    /. 1000.);
+                  Table.ffloat ~decimals:0
+                    (mean
                        (fun r ->
                          float_of_int
                            (r.Ks_core.Everywhere.ae_rounds
                            + r.Ks_core.Everywhere.a2e_rounds))
-                       runs)
-                in
-                let quarantined =
-                  mean_of
-                    (List.map
+                       runs);
+                  Table.ffloat ~decimals:1
+                    (mean
                        (fun r ->
                          float_of_int
                            (Ks_core.Comm.quarantine_events
                               r.Ks_core.Everywhere.ae.Ks_core.Ae_ba.comm))
-                       runs)
-                in
-                [
-                  atk.Ks_attacks.name;
-                  Table.fpct f;
-                  (if quarantine then "on" else "off");
-                  Printf.sprintf "%d/%d" succ total;
-                  Table.ffloat ~decimals:0 (bits /. 1000.);
-                  Table.ffloat ~decimals:0 rounds;
-                  Table.ffloat ~decimals:1 quarantined;
-                  Printf.sprintf "%d/%d" rabin_agree total;
+                       runs);
+                  tally (fun o -> o.Ks_baselines.Outcome.agreement) rabins;
                 ])
               [ true; false ])
           fractions)
@@ -1116,8 +983,8 @@ let standard_monitors () =
     Ks_monitor.Monitor.round_bound ();
   ]
 
-let monitored ?trace ?(monitors = standard_monitors) name f =
-  (* Shared sinks ([run_all ?trace] reuses one across tables): the hub
+let monitored ?trace ~monitors name f =
+  (* Shared sinks ([run_tables ?trace] reuses one across tables): the hub
      must not close what it does not own. *)
   let hub = Ks_monitor.Hub.create ?trace ~close_trace:false (monitors ()) in
   let result = Ks_monitor.Hub.with_ambient hub f in
@@ -1129,65 +996,78 @@ let monitored ?trace ?(monitors = standard_monitors) name f =
       (Printf.sprintf "%s: %d invariant violation(s) — see table above" name
          (List.length vs))
 
-let run_all ?(quick = false) ?trace () =
-  let monitored ?monitors name f = monitored ?trace ?monitors name f in
-  let ns_scaling = if quick then [ 64; 128 ] else [ 64; 128; 256; 512 ] in
-  let seeds = if quick then [ 1 ] else [ 1; 2 ] in
-  let pts = monitored "scaling" (fun () -> collect_scaling ~ns:ns_scaling ~seeds) in
-  ignore (t1_bits pts);
-  ignore (t2_latency pts);
-  monitored "t3" (fun () ->
-      ignore
-        (t3_ae_agreement
-           ~ns:(if quick then [ 64 ] else [ 64; 128 ])
-           ~seeds:(if quick then [ 1 ] else [ 1; 2 ])
-           ()));
-  monitored "t4" (fun () ->
-      ignore
-        (t4_aeba_coins ~n:(if quick then 128 else 256)
-           ~trials:(if quick then 4 else 10) ()));
-  monitored "t5" (fun () ->
-      ignore (t5_election ~candidates:256 ~trials:(if quick then 50 else 200) ()));
-  monitored "t6" (fun () ->
-      ignore
-        (t6_a2e
-           ~ns:(if quick then [ 256 ] else [ 256; 1024 ])
-           ~seeds:(if quick then [ 1 ] else [ 1; 2; 3 ])
-           ()));
-  ignore (t7_hiding ~trials:(if quick then 4000 else 20000) ());
-  ignore (t8_samplers ());
-  monitored "t9" (fun () ->
-      ignore (t9_threshold ~n:64 ~seeds:(if quick then [ 1 ] else [ 1; 2; 3 ]) ()));
-  ignore (t10_crossover pts);
-  monitored "t11" (fun () ->
-      ignore (t11_ablation ~n:64 ~seeds:(if quick then [ 1 ] else [ 1; 2; 3 ]) ()));
-  monitored "t12" (fun () ->
-      ignore (t12_universe ~n:64 ~seeds:(if quick then [ 1 ] else [ 1; 2; 3 ]) ()));
-  monitored "t13" (fun () ->
-      ignore
-        (t13_kssv ~n:(if quick then 128 else 256)
-           ~seeds:(if quick then [ 1 ] else [ 1; 2; 3 ]) ()));
-  ignore (t14_parameters ());
-  monitored "t15" (fun () ->
-      ignore
-        (t15_async
-           ~ns:(if quick then [ 32 ] else [ 32; 64; 128 ])
-           ~seeds:(if quick then [ 1 ] else [ 1; 2; 3 ])
-           ()));
-  (* T16 drives deliberately faulted nets: retry rounds and duplicated
-     deliveries overrun the fault-free bit and round envelopes by
-     design, so only the budget invariant is enforced — benign faults
-     must never consume the adversary's corruption budget. *)
-  monitored "t16"
-    ~monitors:(fun () -> [ Ks_monitor.Monitor.corruption_budget () ])
-    (fun () ->
-      ignore (t16_faults ~n:32 ~seeds:(if quick then [ 1 ] else [ 1; 2 ]) ()));
-  (* T17 runs deliberate attacks, several past the 1/3 threshold and all
-     of them flooding crafted traffic, so the bit and round envelopes do
-     not apply; the budget invariant still must hold — attacks corrupt
-     only through the adversary interface. *)
-  monitored "t17"
-    ~monitors:(fun () -> [ Ks_monitor.Monitor.corruption_budget () ])
-    (fun () ->
-      ignore (t17_attacks ~n:32 ~seeds:(if quick then [ 1 ] else [ 1; 2 ]) ()));
-  match trace with Some sink -> Ks_monitor.Trace.close sink | None -> ()
+(* Each table once: its name, the monitors its runs are held to, and its
+   quick and full configurations.  T1, T2 and T10 render the one scaling
+   sweep a run collects ([pts], monitored on its own when first forced);
+   the other tables ignore it. *)
+type table = {
+  name : string;
+  monitors : (unit -> Ks_monitor.Monitor.t list) option;
+  quick : scaling_point list Lazy.t -> row list;
+  full : scaling_point list Lazy.t -> row list;
+}
+
+(* T16 drives deliberately faulted nets: retry rounds and duplicated
+   deliveries overrun the fault-free bit and round envelopes by design.
+   T17 runs deliberate attacks, several past the 1/3 threshold and all of
+   them flooding crafted traffic, so the envelopes do not apply either.
+   Both still hold the budget invariant: benign faults never consume the
+   adversary's corruption budget, and attacks corrupt only through the
+   adversary interface. *)
+let budget_only () = [ Ks_monitor.Monitor.corruption_budget () ]
+
+let tables =
+  let table ?(monitors = Some standard_monitors) ?quick name full =
+    { name; monitors; quick = Option.value quick ~default:full; full }
+  in
+  let scaling render pts = render (Lazy.force pts) in
+  [
+    table "t1" ~monitors:None (scaling t1_bits);
+    table "t2" ~monitors:None (scaling t2_latency);
+    table "t3"
+      ~quick:(fun _ -> t3_ae_agreement ~ns:[ 64 ] ~seeds:[ 1 ] ())
+      (fun _ -> t3_ae_agreement ());
+    table "t4" ~quick:(fun _ -> t4_aeba_coins ~n:128 ~trials:4 ()) (fun _ -> t4_aeba_coins ());
+    table "t5" ~quick:(fun _ -> t5_election ~trials:50 ()) (fun _ -> t5_election ());
+    table "t6" ~quick:(fun _ -> t6_a2e ~ns:[ 256 ] ~seeds:[ 1 ] ()) (fun _ -> t6_a2e ());
+    table "t7" ~monitors:None
+      ~quick:(fun _ -> t7_hiding ~trials:4000 ())
+      (fun _ -> t7_hiding ());
+    table "t8" ~monitors:None (fun _ -> t8_samplers ());
+    table "t9" ~quick:(fun _ -> t9_threshold ~seeds:[ 1 ] ()) (fun _ -> t9_threshold ());
+    table "t10" ~monitors:None (scaling t10_crossover);
+    table "t11" ~quick:(fun _ -> t11_ablation ~seeds:[ 1 ] ()) (fun _ -> t11_ablation ());
+    table "t12" ~quick:(fun _ -> t12_universe ~seeds:[ 1 ] ()) (fun _ -> t12_universe ());
+    table "t13" ~quick:(fun _ -> t13_kssv ~n:128 ~seeds:[ 1 ] ()) (fun _ -> t13_kssv ());
+    table "t14" ~monitors:None (fun _ -> t14_parameters ());
+    table "t15" ~quick:(fun _ -> t15_async ~ns:[ 32 ] ~seeds:[ 1 ] ()) (fun _ -> t15_async ());
+    table "t16" ~monitors:(Some budget_only)
+      ~quick:(fun _ -> t16_faults ~seeds:[ 1 ] ())
+      (fun _ -> t16_faults ());
+    table "t17" ~monitors:(Some budget_only)
+      ~quick:(fun _ -> t17_attacks ~seeds:[ 1 ] ())
+      (fun _ -> t17_attacks ());
+  ]
+
+let table_names = List.map (fun t -> t.name) tables
+
+let run_tables ?(quick = false) ?trace names =
+  let pts =
+    lazy
+      (monitored ?trace ~monitors:standard_monitors "scaling" (fun () ->
+           if quick then collect_scaling ~ns:[ 64; 128 ] ~seeds:[ 1 ]
+           else collect_scaling ~ns:[ 64; 128; 256; 512 ] ~seeds:[ 1; 2 ]))
+  in
+  List.iter
+    (fun name ->
+      match List.find_opt (fun t -> String.equal t.name name) tables with
+      | None -> invalid_arg ("Experiments.run_tables: no table " ^ name)
+      | Some t ->
+        let run () = ignore ((if quick then t.quick else t.full) pts) in
+        (match t.monitors with
+         | None -> run ()
+         | Some monitors -> monitored ?trace ~monitors t.name run))
+    names;
+  Option.iter Ks_monitor.Trace.close trace
+
+let run_all ?quick ?trace () = run_tables ?quick ?trace table_names

@@ -1,9 +1,10 @@
 (** The reproduction experiments — one function per table of
-    EXPERIMENTS.md (T1–T10, DESIGN.md §3).
+    EXPERIMENTS.md (T1–T17, DESIGN.md §3), and the one list of tables the
+    benchmark executable runs.
 
     Every function prints its table (via [Ks_stdx.Table]) and returns the
-    rows so tests can assert on them.  [quick] shrinks sizes/seeds to
-    smoke-test scale; the benchmark executable runs the full versions. *)
+    rows so tests can assert on them.  Each table's defaults are its full
+    configuration; the list also holds the smaller quick one. *)
 
 type row = string list
 
@@ -22,10 +23,8 @@ type scaling_point = {
   ks_success : bool;
 }
 
-(** [collect_scaling ~ns ~seeds] — runs the full protocol and both
-    baselines at each n (T1/T2/T10 share this data). *)
-val collect_scaling : ns:int list -> seeds:int list -> scaling_point list
-
+(** T1, T2 and T10 render one scaling sweep: bits per processor, rounds,
+    and the power-law fits with their extrapolated crossovers. *)
 val t1_bits : scaling_point list -> row list
 val t2_latency : scaling_point list -> row list
 val t10_crossover : scaling_point list -> row list
@@ -94,17 +93,19 @@ val t17_attacks : ?n:int -> ?seeds:int list -> unit -> row list
     baselines exist to violate them). *)
 val standard_monitors : unit -> Ks_monitor.Monitor.t list
 
-(** [monitored ?trace name f] — run [f] under an ambient hub with
-    {!standard_monitors} (or [?monitors]); on any violation, print the
-    violation table and raise [Failure]. *)
-val monitored :
-  ?trace:Ks_monitor.Trace.sink ->
-  ?monitors:(unit -> Ks_monitor.Monitor.t list) ->
-  string ->
-  (unit -> 'a) ->
-  'a
+(** The tables, in order: ["t1"] … ["t17"]. *)
+val table_names : string list
 
-(** [run_all ~quick ()] — every table, in order, each net-driving table
-    guarded by {!monitored}.  [?trace] streams all of them into one
-    JSONL sink (closed on return). *)
+(** [run_tables ~quick names] — the named tables, in the given order, at
+    their quick or full configuration.  Each net-driving table runs under
+    its monitors ({!standard_monitors}, or the corruption budget alone for
+    T16 and T17); on any violation the violation table is printed and
+    [Failure] raised.  T1, T2 and T10 share one scaling sweep (n ∈
+    \{64,128\}, seed 1 quick; n ∈ \{64…512\}, seeds 1–2 full), collected
+    under {!standard_monitors}.  [?trace] streams every table into one
+    JSONL sink, closed on return.  Raises [Invalid_argument] on a name not
+    in {!table_names}. *)
+val run_tables : ?quick:bool -> ?trace:Ks_monitor.Trace.sink -> string list -> unit
+
+(** [run_all ~quick ()] — [run_tables] over {!table_names}. *)
 val run_all : ?quick:bool -> ?trace:Ks_monitor.Trace.sink -> unit -> unit

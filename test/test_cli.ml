@@ -170,6 +170,17 @@ let test_bench_unknown_flag () =
     (run (bench ^ " --enforce-baseline"))
     ~expect_code:2
 
+(* The usage lists the tables from the one table list, and a pure table
+   runs end to end. *)
+let test_bench_tables () =
+  let _, _, err = run (bench ^ " --table t99") in
+  Alcotest.(check bool) "usage names every table" true
+    (contains err
+       ("tables: " ^ String.concat " " Ks_workload.Experiments.table_names ^ "\n"));
+  let code, out, _ = run (bench ^ " --table t14") in
+  Alcotest.(check int) "--table t14 exits 0" 0 code;
+  Alcotest.(check bool) "prints T14" true (contains out "T14:")
+
 let test_ks_lint_cli () =
   check_usage "ks_lint unknown option" (run (ks_lint ^ " --bogus")) ~expect_code:2;
   let code, _, err = run (ks_lint ^ " no-such-dir") in
@@ -222,7 +233,10 @@ let () =
           Alcotest.test_case "adversary flag" `Quick test_ba_sim_adversary_flag;
         ] );
       ( "bench",
-        [ Alcotest.test_case "unknown flag" `Quick test_bench_unknown_flag ] );
+        [
+          Alcotest.test_case "unknown flag" `Quick test_bench_unknown_flag;
+          Alcotest.test_case "tables" `Quick test_bench_tables;
+        ] );
       ( "ks_lint",
         [
           Alcotest.test_case "flags" `Quick test_ks_lint_cli;

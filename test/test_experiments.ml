@@ -130,6 +130,56 @@ let test_t8_table () =
   let rows = Experiments.t8_samplers ~r:256 ~s:256 () in
   Alcotest.(check int) "five degrees" 5 (List.length rows)
 
+let test_table_list () =
+  Alcotest.(check (list string))
+    "t1 ... t17, in order"
+    (List.init 17 (fun i -> Printf.sprintf "t%d" (i + 1)))
+    Experiments.table_names
+
+(* Everything [f] writes to stdout, through a temporary file. *)
+let capture_stdout f =
+  let path = Filename.temp_file "ks_tables" ".out" in
+  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  let saved = Unix.dup Unix.stdout in
+  flush stdout;
+  Unix.dup2 fd Unix.stdout;
+  Unix.close fd;
+  Fun.protect f ~finally:(fun () ->
+      flush stdout;
+      Unix.dup2 saved Unix.stdout;
+      Unix.close saved);
+  let ic = open_in_bin path in
+  let text = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Sys.remove path;
+  text
+
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
+
+(* The cheap tables' quick configurations, run through the table list,
+   print exactly the blocks of the recorded quick sweep. *)
+let test_quick_tables_match_golden () =
+  let golden =
+    let path =
+      Filename.concat (Filename.dirname Sys.executable_name) "../bench/quick.golden"
+    in
+    let ic = open_in_bin path in
+    Fun.protect ~finally:(fun () -> close_in ic) (fun () ->
+        really_input_string ic (in_channel_length ic))
+  in
+  List.iter
+    (fun name ->
+      let block =
+        capture_stdout (fun () -> Experiments.run_tables ~quick:true [ name ])
+      in
+      Alcotest.(check bool) (name ^ " prints a table") true (block <> "");
+      Alcotest.(check bool) (name ^ " block is in bench/quick.golden") true
+        (contains golden block))
+    [ "t5"; "t7"; "t8"; "t14" ]
+
 let test_universe_reduction () =
   let n = 32 in
   let params = Params.practical n in
@@ -169,6 +219,8 @@ let () =
         ] );
       ( "tables",
         [
+          Alcotest.test_case "table list" `Quick test_table_list;
+          Alcotest.test_case "quick tables = golden" `Slow test_quick_tables_match_golden;
           Alcotest.test_case "t1/t2/t10 synthetic" `Quick test_t1_t2_t10_tables_from_synthetic_points;
           Alcotest.test_case "t5" `Quick test_t5_table;
           Alcotest.test_case "t7" `Slow test_t7_table;
