@@ -50,7 +50,7 @@ type 'msg t = {
   mutable delivered : int;
   faults : Ks_faults.Injector.t option;
   hub : Ks_monitor.Hub.t option;
-  mutable net_id : int;
+  net_id : int;
 }
 
 let emit t ev = match t.hub with None -> () | Some h -> Ks_monitor.Hub.emit h ev
@@ -74,6 +74,12 @@ let create ?hub ?faults ?(label = "async") ~seed ~n ~corrupt ~msg_bits ~schedule
    | Delay_targets targets ->
      List.iter (fun p -> if p >= 0 && p < n then starved.(p) <- true) targets);
   let hub = match hub with Some _ as h -> h | None -> Ks_monitor.Hub.ambient () in
+  let budget = Array.fold_left (fun a c -> if c then a + 1 else a) 0 corrupt_arr in
+  let net_id =
+    match hub with
+    | Some h -> Ks_monitor.Hub.register_net h ~label ~n ~budget
+    | None -> 0
+  in
   let t =
     {
       size = n;
@@ -87,24 +93,19 @@ let create ?hub ?faults ?(label = "async") ~seed ~n ~corrupt ~msg_bits ~schedule
       delivered = 0;
       faults;
       hub;
-      net_id = 0;
+      net_id;
     }
   in
-  (match hub with
-   | Some h ->
-     let budget = Array.fold_left (fun a c -> if c then a + 1 else a) 0 corrupt_arr in
-     t.net_id <- Ks_monitor.Hub.register_net h ~label ~n ~budget;
-     let total = ref 0 in
-     Array.iteri
-       (fun p c ->
-         if c then begin
-           incr total;
-           emit t
-             (Ks_monitor.Event.Corrupt
-                { net = t.net_id; round = 0; proc = p; total = !total; budget })
-         end)
-       corrupt_arr
-   | None -> ());
+  (* The static corruptions, replayed as if made before the first delivery. *)
+  let total = ref 0 in
+  for p = 0 to n - 1 do
+    if corrupt_arr.(p) then begin
+      incr total;
+      emit t
+        (Ks_monitor.Event.Corrupt
+           { net = net_id; round = 0; proc = p; total = !total; budget })
+    end
+  done;
   t
 
 let n t = t.size
