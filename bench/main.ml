@@ -27,9 +27,8 @@ module Prng = Ks_stdx.Prng
 
 module Kernels = struct
   module Zp = Ks_field.Zp
-  module Gf = Ks_field.Gf256
-  module PZ = Ks_field.Poly.Make (Ks_field.Zp)
-  module Sh = Ks_shamir.Shamir.Make (Ks_field.Zp)
+  module Poly = Ks_field.Poly
+  module Shamir = Ks_shamir.Shamir
 
   let protocol_sizes = [ 64; 128; 256 ]
 
@@ -43,30 +42,20 @@ module Kernels = struct
       done;
       ignore (Sys.opaque_identity !acc)
 
-  let mul_gf256 =
-    let rng = Prng.create 102L in
-    let xs = Array.init 256 (fun _ -> Gf.random_nonzero rng) in
-    fun () ->
-      let acc = ref Gf.one in
-      for i = 0 to 255 do
-        acc := Gf.mul !acc xs.(i)
-      done;
-      ignore (Sys.opaque_identity !acc)
-
   let lagrange_eval =
     let rng = Prng.create 103L in
     let pts = List.init 12 (fun i -> (Zp.of_int (i + 1), Zp.random rng)) in
     let xs = Array.init 16 (fun i -> Zp.of_int (100 + i)) in
     fun () ->
       let acc = ref Zp.zero in
-      Array.iter (fun x -> acc := Zp.add !acc (PZ.lagrange_eval pts x)) xs;
+      Array.iter (fun x -> acc := Zp.add !acc (Poly.lagrange_eval pts x)) xs;
       ignore (Sys.opaque_identity !acc)
 
   let interp_zero =
     let rng = Prng.create 104L in
-    let shares = Sh.deal rng ~threshold:5 ~holders:12 (Zp.of_int 4242) in
+    let shares = Shamir.deal rng ~threshold:5 ~holders:12 (Zp.of_int 4242) in
     let shares = Array.to_list shares in
-    fun () -> ignore (Sys.opaque_identity (Sh.reconstruct ~threshold:5 shares))
+    fun () -> ignore (Sys.opaque_identity (Shamir.reconstruct ~threshold:5 shares))
 
   (* Robust word decode at protocol sizes: holders = k1(n), protocol
      threshold, [errors_of ~radius] corrupted shares. *)
@@ -76,16 +65,16 @@ module Kernels = struct
     let threshold = Params.share_threshold params ~holders in
     let rng = Prng.create (Int64.of_int (7700 + n)) in
     let secret = Zp.random rng in
-    let shares = Sh.deal rng ~threshold ~holders secret in
+    let shares = Shamir.deal rng ~threshold ~holders secret in
     let radius = (holders - threshold - 1) / 2 in
     let errors = errors_of ~radius in
     let idx = Prng.sample_without_replacement rng ~n:holders ~k:errors in
     Array.iter
-      (fun i -> shares.(i) <- { shares.(i) with Sh.value = Zp.random rng })
+      (fun i -> shares.(i) <- { shares.(i) with Shamir.value = Zp.random rng })
       idx;
     let shares = Array.to_list shares in
     fun () ->
-      ignore (Sys.opaque_identity (Sh.reconstruct_robust ~threshold shares))
+      ignore (Sys.opaque_identity (Shamir.reconstruct_robust ~threshold shares))
 
   (* A failing decode of the tournament's common shape: m = 16 shares at
      threshold 5 (k = 6), ten of them garbage.  The six honest shares
@@ -95,14 +84,14 @@ module Kernels = struct
   let robust_fail =
     let rng = Prng.create 7716L in
     let threshold = 5 and holders = 16 in
-    let shares = Sh.deal rng ~threshold ~holders (Zp.random rng) in
+    let shares = Shamir.deal rng ~threshold ~holders (Zp.random rng) in
     let idx = Prng.sample_without_replacement rng ~n:holders ~k:10 in
     Array.iter
-      (fun i -> shares.(i) <- { shares.(i) with Sh.value = Zp.random rng })
+      (fun i -> shares.(i) <- { shares.(i) with Shamir.value = Zp.random rng })
       idx;
     let shares = Array.to_list shares in
     fun () ->
-      ignore (Sys.opaque_identity (Sh.reconstruct_robust ~threshold shares))
+      ignore (Sys.opaque_identity (Shamir.reconstruct_robust ~threshold shares))
 
   (* Vector decode (the sendDown hot path): 32-word vectors, two wholly
      corrupted holders plus one word-targeted lie, which forces the probe
@@ -114,7 +103,7 @@ module Kernels = struct
     let rng = Prng.create (Int64.of_int (8800 + n)) in
     let words = Array.init 32 (fun _ -> Zp.random rng) in
     let xs = Array.init holders (fun i -> i) in
-    let per_holder = Sh.deal_vector_at rng ~threshold ~xs words in
+    let per_holder = Shamir.deal_vector_at rng ~threshold ~xs words in
     for h = 0 to 1 do
       per_holder.(h) <- Array.map (fun _ -> Zp.random rng) per_holder.(h)
     done;
@@ -122,12 +111,11 @@ module Kernels = struct
     let holders_l = List.init holders (fun h -> (xs.(h), per_holder.(h))) in
     fun () ->
       ignore
-        (Sys.opaque_identity (Sh.reconstruct_vectors ~threshold holders_l))
+        (Sys.opaque_identity (Shamir.reconstruct_vectors ~threshold holders_l))
 
   let all () =
     [
       ("field/zp_mul_256", mul_zp);
-      ("field/gf256_mul_256", mul_gf256);
       ("poly/lagrange_eval_k12_x16", lagrange_eval);
       ("shamir/interp_zero_m12_t5", interp_zero);
       ("shamir/robust_fail_m16_k6", robust_fail);

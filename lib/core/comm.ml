@@ -1,7 +1,7 @@
 module Prng = Ks_stdx.Prng
 module Tree = Ks_topology.Tree
 module Zp = Ks_field.Zp
-module Sh = Ks_shamir.Shamir.Make (Ks_field.Zp)
+module Shamir = Ks_shamir.Shamir
 open Ks_sim.Types
 
 type word = int
@@ -404,7 +404,7 @@ let keep t p e held inst ~len words =
 
 (* The pieces of a hop.  [words.(s)] is the first share admitted into piece
    slot [s] ([||] while empty), and its witness.  The pieces of list [d]
-   are in reverse arrival order — what [Sh.reconstruct_vectors] has always
+   are in reverse arrival order — what [Shamir.reconstruct_vectors] has always
    been given — from [head.(d)] on through [next]. *)
 type pieces = { words : word array array; next : int array; head : int array }
 
@@ -431,7 +431,8 @@ let decode_lists pk ~threshold ~x =
     (fun d first ->
       if first >= 0 then
         Option.iter (fun v -> decoded.(d) <- v)
-          (Sh.reconstruct_vectors ~failures:failed ~threshold:(threshold d) (walk first)))
+          (Shamir.reconstruct_vectors ~failures:failed ~threshold:(threshold d)
+             (walk first)))
     pk.head;
   (decoded, !failed)
 
@@ -451,13 +452,13 @@ let deal_all t ~arrays =
         t.cands.(c).held <- Array.make k1 None;
         let leaf_members = Tree.members t.tree ~level:1 ~node:c in
         let per_holder =
-          Sh.deal_vector (Ks_sim.Net.proc_rng t.net c) ~threshold:t1 ~holders:k1
+          Shamir.deal_vector (Ks_sim.Net.proc_rng t.net c) ~threshold:t1 ~holders:k1
             arrays.(c)
         in
         for h = 0 to k1 - 1 do
           send ~src:c ~dst:leaf_members.(h)
             ~payload_of:(fun words -> Deal { cand = c; inst = h; words })
-            (Array.map (fun s -> s.Sh.value) per_holder.(h))
+            (Array.map (fun s -> s.Shamir.value) per_holder.(h))
         done
       done)
     ~accept:(fun p e ->
@@ -504,7 +505,8 @@ let reshare_up t ~cands ~drop =
                 let children = Structure.children t.structure ~level:lvl ~inst in
                 let th = Params.share_threshold t.params ~holders:(Array.length xs) in
                 let per_holder =
-                  Sh.deal_vector_at (Ks_sim.Net.proc_rng t.net sender) ~threshold:th ~xs v
+                  Shamir.deal_vector_at (Ks_sim.Net.proc_rng t.net sender) ~threshold:th
+                    ~xs v
                 in
                 Array.iteri
                   (fun j words ->

@@ -1,7 +1,6 @@
 type t = int
 
 let p = 2147483647
-let order = p
 
 let zero = 0
 let one = 1

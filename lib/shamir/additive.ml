@@ -1,13 +1,13 @@
-module Make (F : Ks_field.Field_intf.S) = struct
-  let deal rng ~holders secret =
-    if holders < 1 then invalid_arg "Additive.deal: need at least one holder";
-    let shares = Array.init holders (fun _ -> F.random rng) in
-    let sum_rest = ref F.zero in
-    for i = 1 to holders - 1 do
-      sum_rest := F.add !sum_rest shares.(i)
-    done;
-    shares.(0) <- F.sub secret !sum_rest;
-    shares
+module Zp = Ks_field.Zp
 
-  let reconstruct shares = Array.fold_left F.add F.zero shares
-end
+let deal rng ~holders secret =
+  if holders < 1 then invalid_arg "Additive.deal: need at least one holder";
+  let shares = Array.init holders (fun _ -> Zp.random rng) in
+  let sum_rest = ref Zp.zero in
+  for i = 1 to holders - 1 do
+    sum_rest := Zp.add !sum_rest shares.(i)
+  done;
+  shares.(0) <- Zp.sub secret !sum_rest;
+  shares
+
+let reconstruct shares = Array.fold_left Zp.add Zp.zero shares

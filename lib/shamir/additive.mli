@@ -7,11 +7,9 @@
     experiment — it shows why a threshold scheme is necessary once shares
     start getting lost to corrupt holders. *)
 
-module Make (F : Ks_field.Field_intf.S) : sig
-  (** [deal rng ~holders secret] — [holders >= 1] shares summing to the
-      secret. *)
-  val deal : Ks_stdx.Prng.t -> holders:int -> F.t -> F.t array
+(** [deal rng ~holders secret] — [holders >= 1] shares summing to the
+    secret. *)
+val deal : Ks_stdx.Prng.t -> holders:int -> Ks_field.Zp.t -> Ks_field.Zp.t array
 
-  (** [reconstruct shares] — the field sum. *)
-  val reconstruct : F.t array -> F.t
-end
+(** [reconstruct shares] — the field sum. *)
+val reconstruct : Ks_field.Zp.t array -> Ks_field.Zp.t

@@ -43,8 +43,8 @@ val t5_election : ?candidates:int -> ?trials:int -> unit -> row list
     overload events; honest and flooding adversaries. *)
 val t6_a2e : ?ns:int list -> ?seeds:int list -> unit -> row list
 
-(** T7: secret-sharing hiding (Lemma 1) — distinguishing advantage with
-    t vs t+1 shares, through iterated resharing. *)
+(** T7: secret-sharing hiding (Lemma 1) over Z_p — distinguishing
+    advantage with t vs t+1 shares, through iterated resharing. *)
 val t7_hiding : ?trials:int -> unit -> row list
 
 (** T8: sampler quality (Lemma 2) — measured δ and max degree vs d. *)

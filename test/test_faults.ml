@@ -225,10 +225,9 @@ let test_replay_reconstructs_faults () =
 (* --- Graceful degradation: bounded retry + decode-failure detection --- *)
 
 let test_shamir_failure_hook () =
-  let module Sh = Ks_shamir.Shamir.Make (Ks_field.Zp) in
   let failures = ref 0 in
   (* An empty holder list cannot reconstruct anything. *)
-  (match Sh.reconstruct_vectors ~failures ~threshold:2 [] with
+  (match Ks_shamir.Shamir.reconstruct_vectors ~failures ~threshold:2 [] with
    | Some _ -> Alcotest.fail "reconstructed from nothing"
    | None -> ());
   Alcotest.(check int) "failure counted" 1 !failures

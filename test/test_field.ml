@@ -1,69 +1,46 @@
 module Zp = Ks_field.Zp
-module Gf256 = Ks_field.Gf256
 module Prng = Ks_stdx.Prng
 
-(* Field axioms as qcheck properties, instantiated for both fields. *)
-module Axioms (F : Ks_field.Field_intf.S) (Name : sig
-  val name : string
-end) =
-struct
-  let elem =
-    QCheck.map
-      (fun seed -> F.random (Prng.create (Int64.of_int seed)))
-      QCheck.small_nat
+(* Field axioms as qcheck properties. *)
+let elem =
+  QCheck.map (fun seed -> Zp.random (Prng.create (Int64.of_int seed))) QCheck.small_nat
 
-  let nonzero =
-    QCheck.map
-      (fun seed -> F.random_nonzero (Prng.create (Int64.of_int seed)))
-      QCheck.small_nat
+let nonzero =
+  QCheck.map
+    (fun seed -> Zp.random_nonzero (Prng.create (Int64.of_int seed)))
+    QCheck.small_nat
 
-  let t name = Name.name ^ ": " ^ name
-
-  let tests =
-    [
-      QCheck.Test.make ~name:(t "add commutative") ~count:200 (QCheck.pair elem elem)
-        (fun (a, b) -> F.equal (F.add a b) (F.add b a));
-      QCheck.Test.make ~name:(t "add associative") ~count:200
-        (QCheck.triple elem elem elem)
-        (fun (a, b, c) -> F.equal (F.add (F.add a b) c) (F.add a (F.add b c)));
-      QCheck.Test.make ~name:(t "mul commutative") ~count:200 (QCheck.pair elem elem)
-        (fun (a, b) -> F.equal (F.mul a b) (F.mul b a));
-      QCheck.Test.make ~name:(t "mul associative") ~count:200
-        (QCheck.triple elem elem elem)
-        (fun (a, b, c) -> F.equal (F.mul (F.mul a b) c) (F.mul a (F.mul b c)));
-      QCheck.Test.make ~name:(t "distributivity") ~count:200
-        (QCheck.triple elem elem elem)
-        (fun (a, b, c) ->
-          F.equal (F.mul a (F.add b c)) (F.add (F.mul a b) (F.mul a c)));
-      QCheck.Test.make ~name:(t "additive inverse") ~count:200 elem (fun a ->
-          F.equal (F.add a (F.neg a)) F.zero);
-      QCheck.Test.make ~name:(t "multiplicative inverse") ~count:200 nonzero (fun a ->
-          F.equal (F.mul a (F.inv a)) F.one);
-      QCheck.Test.make ~name:(t "sub = add neg") ~count:200 (QCheck.pair elem elem)
-        (fun (a, b) -> F.equal (F.sub a b) (F.add a (F.neg b)));
-      QCheck.Test.make ~name:(t "pow matches repeated mul") ~count:100
-        (QCheck.pair elem (QCheck.int_bound 12))
-        (fun (a, e) ->
-          let rec go acc i = if i = 0 then acc else go (F.mul acc a) (i - 1) in
-          F.equal (F.pow a e) (go F.one e));
-      QCheck.Test.make ~name:(t "of_int/to_int roundtrip") ~count:200 elem (fun a ->
-          F.equal a (F.of_int (F.to_int a)));
-    ]
-end
-
-module Zp_axioms =
-  Axioms
-    (Zp)
-    (struct
-      let name = "Zp"
-    end)
-
-module Gf_axioms =
-  Axioms
-    (Gf256)
-    (struct
-      let name = "GF256"
-    end)
+let axioms =
+  let t name = "Zp: " ^ name in
+  [
+    QCheck.Test.make ~name:(t "add commutative") ~count:200 (QCheck.pair elem elem)
+      (fun (a, b) -> Zp.equal (Zp.add a b) (Zp.add b a));
+    QCheck.Test.make ~name:(t "add associative") ~count:200
+      (QCheck.triple elem elem elem)
+      (fun (a, b, c) -> Zp.equal (Zp.add (Zp.add a b) c) (Zp.add a (Zp.add b c)));
+    QCheck.Test.make ~name:(t "mul commutative") ~count:200 (QCheck.pair elem elem)
+      (fun (a, b) -> Zp.equal (Zp.mul a b) (Zp.mul b a));
+    QCheck.Test.make ~name:(t "mul associative") ~count:200
+      (QCheck.triple elem elem elem)
+      (fun (a, b, c) -> Zp.equal (Zp.mul (Zp.mul a b) c) (Zp.mul a (Zp.mul b c)));
+    QCheck.Test.make ~name:(t "distributivity") ~count:200
+      (QCheck.triple elem elem elem)
+      (fun (a, b, c) ->
+        Zp.equal (Zp.mul a (Zp.add b c)) (Zp.add (Zp.mul a b) (Zp.mul a c)));
+    QCheck.Test.make ~name:(t "additive inverse") ~count:200 elem (fun a ->
+        Zp.equal (Zp.add a (Zp.neg a)) Zp.zero);
+    QCheck.Test.make ~name:(t "multiplicative inverse") ~count:200 nonzero (fun a ->
+        Zp.equal (Zp.mul a (Zp.inv a)) Zp.one);
+    QCheck.Test.make ~name:(t "sub = add neg") ~count:200 (QCheck.pair elem elem)
+      (fun (a, b) -> Zp.equal (Zp.sub a b) (Zp.add a (Zp.neg b)));
+    QCheck.Test.make ~name:(t "pow matches repeated mul") ~count:100
+      (QCheck.pair elem (QCheck.int_bound 12))
+      (fun (a, e) ->
+        let rec go acc i = if i = 0 then acc else go (Zp.mul acc a) (i - 1) in
+        Zp.equal (Zp.pow a e) (go Zp.one e));
+    QCheck.Test.make ~name:(t "of_int/to_int roundtrip") ~count:200 elem (fun a ->
+        Zp.equal a (Zp.of_int (Zp.to_int a)));
+  ]
 
 let test_zp_edge () =
   Alcotest.(check int) "p-1 + 1 = 0" 0 (Zp.to_int (Zp.add (Zp.of_int (Zp.p - 1)) Zp.one));
@@ -87,9 +64,8 @@ let test_zp_edge () =
       (0, Zp.p - 1);
     ]
 
-(* of_int must reject anything outside [0, order) for both fields: silent
-   truncation (the old Gf256 [land 0xFF]) or reduction (the old Zp [mod])
-   would let distinct wire words alias the same field element. *)
+(* of_int must reject anything outside [0, p): silent reduction would let
+   distinct wire words alias the same field element. *)
 let test_of_int_boundaries () =
   Alcotest.(check int) "Zp order-1 accepted" (Zp.p - 1) (Zp.to_int (Zp.of_int (Zp.p - 1)));
   Alcotest.check_raises "Zp order rejected" (Invalid_argument "Zp.of_int: out of range")
@@ -97,27 +73,9 @@ let test_of_int_boundaries () =
   Alcotest.check_raises "Zp order+1 rejected" (Invalid_argument "Zp.of_int: out of range")
     (fun () -> ignore (Zp.of_int (Zp.p + 1)));
   Alcotest.check_raises "Zp negative rejected" (Invalid_argument "Zp.of_int: negative")
-    (fun () -> ignore (Zp.of_int (-1)));
-  Alcotest.(check int) "Gf256 255 accepted" 255 (Gf256.to_int (Gf256.of_int 255));
-  Alcotest.check_raises "Gf256 256 rejected"
-    (Invalid_argument "Gf256.of_int: out of range") (fun () ->
-      ignore (Gf256.of_int 256));
-  Alcotest.check_raises "Gf256 0x157 rejected (would truncate to 0x57)"
-    (Invalid_argument "Gf256.of_int: out of range") (fun () ->
-      ignore (Gf256.of_int 0x157));
-  Alcotest.check_raises "Gf256 negative rejected"
-    (Invalid_argument "Gf256.of_int: negative") (fun () ->
-      ignore (Gf256.of_int (-1)))
+    (fun () -> ignore (Zp.of_int (-1)))
 
-let test_gf256_edge () =
-  Alcotest.(check int) "x+x=0" 0 (Gf256.to_int (Gf256.add (Gf256.of_int 0x57) (Gf256.of_int 0x57)));
-  (* Known AES value: 0x57 * 0x13 = 0xFE in GF(2^8)/0x11B. *)
-  Alcotest.(check int) "AES known product" 0xFE
-    (Gf256.to_int (Gf256.mul (Gf256.of_int 0x57) (Gf256.of_int 0x13)));
-  Alcotest.check_raises "inv zero" Division_by_zero (fun () ->
-      ignore (Gf256.inv Gf256.zero))
-
-module P = Ks_field.Poly.Make (Zp)
+module P = Ks_field.Poly
 
 let test_poly_eval () =
   (* 3 + 2x + x^2 at x = 5 -> 38 *)
@@ -190,7 +148,7 @@ let test_poly_interpolate_errors () =
   Alcotest.check_raises "empty" (Invalid_argument "Poly.interpolate: no points")
     (fun () -> ignore (P.interpolate []))
 
-module L = Linalg.Make (Zp)
+module L = Linalg
 
 let test_linalg_solve () =
   (* x + 2y = 5; 3x + 4y = 11 -> x = 1, y = 2 *)
@@ -251,12 +209,10 @@ let prop_linalg_random_solve =
 let () =
   Alcotest.run "field"
     [
-      ("zp-axioms", List.map (fun t -> QCheck_alcotest.to_alcotest t) Zp_axioms.tests);
-      ("gf256-axioms", List.map (fun t -> QCheck_alcotest.to_alcotest t) Gf_axioms.tests);
+      ("zp-axioms", List.map (fun t -> QCheck_alcotest.to_alcotest t) axioms);
       ( "edges",
         [
           Alcotest.test_case "zp edges" `Quick test_zp_edge;
-          Alcotest.test_case "gf256 edges" `Quick test_gf256_edge;
           Alcotest.test_case "of_int boundaries" `Quick test_of_int_boundaries;
         ] );
       ( "poly",

@@ -213,7 +213,7 @@ let test_determinism () =
    barycentric evaluators, Mersenne-shift multiplication): a seeded
    decoding workload rendered to text must be byte-identical across
    runs. *)
-module ShZ = Ks_shamir.Shamir.Make (Ks_field.Zp)
+module Shamir = Ks_shamir.Shamir
 module Zp = Ks_field.Zp
 
 let decode_workload () =
@@ -223,18 +223,18 @@ let decode_workload () =
     let threshold = 2 + (trial mod 4) in
     let holders = (3 * (threshold + 1)) + (trial mod 5) in
     let secret = Zp.random rng in
-    let shares = ShZ.deal rng ~threshold ~holders secret in
+    let shares = Shamir.deal rng ~threshold ~holders secret in
     let nerr = trial mod (holders - threshold) in
     let idx = Ks_stdx.Prng.sample_without_replacement rng ~n:holders ~k:nerr in
     Array.iter
-      (fun i -> shares.(i) <- { shares.(i) with ShZ.value = Zp.random rng })
+      (fun i -> shares.(i) <- { shares.(i) with Shamir.value = Zp.random rng })
       idx;
-    (match ShZ.reconstruct_robust ~threshold (Array.to_list shares) with
+    (match Shamir.reconstruct_robust ~threshold (Array.to_list shares) with
      | Some v -> Buffer.add_string out (Printf.sprintf "%d:some:%d\n" trial (Zp.to_int v))
      | None -> Buffer.add_string out (Printf.sprintf "%d:none\n" trial));
     let words = Array.init 5 (fun w -> Zp.of_int ((trial * 10) + w)) in
     let xs = Array.init holders (fun i -> i) in
-    let per_holder = ShZ.deal_vector_at rng ~threshold ~xs words in
+    let per_holder = Shamir.deal_vector_at rng ~threshold ~xs words in
     let holder_vecs =
       List.init holders (fun h ->
           let v =
@@ -243,7 +243,7 @@ let decode_workload () =
           in
           (xs.(h), v))
     in
-    match ShZ.reconstruct_vectors ~threshold holder_vecs with
+    match Shamir.reconstruct_vectors ~threshold holder_vecs with
     | Some vs ->
       Buffer.add_string out
         (Printf.sprintf "%d:vec:%s\n" trial

@@ -1,12 +1,7 @@
 module Zp = Ks_field.Zp
-module Gf = Ks_field.Gf256
-module Sh = Ks_shamir.Shamir.Make (Ks_field.Zp)
-module ShG = Ks_shamir.Shamir.Make (Ks_field.Gf256)
-module Add = Ks_shamir.Additive.Make (Ks_field.Zp)
-module Pz = Ks_field.Poly.Make (Ks_field.Zp)
-module Pg = Ks_field.Poly.Make (Ks_field.Gf256)
-module OracleZ = Decode_oracle.Make (Ks_field.Zp)
-module OracleG = Decode_oracle.Make (Ks_field.Gf256)
+module Sh = Ks_shamir.Shamir
+module Add = Ks_shamir.Additive
+module P = Ks_field.Poly
 module Prng = Ks_stdx.Prng
 
 let rng () = Prng.create 20260706L
@@ -158,13 +153,11 @@ let test_vector_roundtrip () =
   let rng = rng () in
   let words = Array.init 20 (fun i -> Zp.of_int (i * i)) in
   let per_holder = Sh.deal_vector rng ~threshold:4 ~holders:12 words in
-  (* Rebuild per-word share lists. *)
-  let per_word =
-    Array.init 20 (fun w ->
-        List.init 12 (fun h ->
-            { Sh.index = h; value = per_holder.(h).(w).Sh.value }))
+  (* One value vector per holder, as Comm's decoder receives them. *)
+  let holders =
+    List.init 12 (fun h -> (h, Array.map (fun s -> s.Sh.value) per_holder.(h)))
   in
-  match Sh.reconstruct_vector ~threshold:4 per_word with
+  match Sh.reconstruct_vectors ~threshold:4 holders with
   | Some out ->
     Array.iteri
       (fun i v -> Alcotest.(check int) "word" (i * i) (Zp.to_int v))
@@ -359,23 +352,13 @@ let gen_case rng =
   in
   { threshold; xs; liars; coordinated }
 
-let case_shares_zp rng case =
+let case_shares rng case =
   let shares = Sh.deal_at rng ~threshold:case.threshold ~xs:case.xs (Zp.random rng) in
   Array.iter
     (fun i ->
       let v = shares.(i).Sh.value in
       let lie = if case.coordinated then Zp.add v Zp.one else Zp.random rng in
       shares.(i) <- { (shares.(i)) with Sh.value = lie })
-    case.liars;
-  Array.to_list shares
-
-let case_shares_gf rng case =
-  let shares = ShG.deal_at rng ~threshold:case.threshold ~xs:case.xs (Gf.random rng) in
-  Array.iter
-    (fun i ->
-      let v = shares.(i).ShG.value in
-      let lie = if case.coordinated then Gf.add v Gf.one else Gf.random rng in
-      shares.(i) <- { (shares.(i)) with ShG.value = lie })
     case.liars;
   Array.to_list shares
 
@@ -388,66 +371,42 @@ let prop_robust_equiv_oracle_zp =
     (fun (a, b) ->
       let rng = Prng.create (Int64.of_int ((a * 92821) + (b * 613) + 1)) in
       let case = gen_case rng in
-      let shares = case_shares_zp rng case in
+      let shares = case_shares rng case in
       equal_opt Zp.equal
         (Sh.reconstruct_robust ~threshold:case.threshold shares)
-        (OracleZ.reconstruct_robust ~threshold:case.threshold shares))
-
-let prop_robust_equiv_oracle_gf256 =
-  QCheck.Test.make ~name:"optimized robust decode == reference oracle (GF(256))"
-    ~count:200
-    QCheck.(pair small_nat small_nat)
-    (fun (a, b) ->
-      let rng = Prng.create (Int64.of_int ((a * 48611) + (b * 769) + 1)) in
-      let case = gen_case rng in
-      let shares = case_shares_gf rng case in
-      equal_opt Gf.equal
-        (ShG.reconstruct_robust ~threshold:case.threshold shares)
-        (OracleG.reconstruct_robust ~threshold:case.threshold shares))
+        (Decode_oracle.reconstruct_robust ~threshold:case.threshold shares))
 
 let prop_gao_equiv_bw =
   (* Gao's decoder returns the oracle's Berlekamp–Welch polynomial, or
      None where it does, inside and beyond the radius. *)
-  let same eq a b = Array.length a = Array.length b && Array.for_all2 eq a b in
-  QCheck.Test.make ~name:"Gao unique decode == reference Berlekamp-Welch (both fields)"
+  let same a b = Array.length a = Array.length b && Array.for_all2 Zp.equal a b in
+  QCheck.Test.make ~name:"Gao unique decode == reference Berlekamp-Welch (Z_p)"
     ~count:200
     QCheck.(pair small_nat small_nat)
     (fun (a, b) ->
       let rng = Prng.create (Int64.of_int ((a * 15485863) + (b * 1009) + 1)) in
       let case = gen_case rng in
-      let pts_z =
+      let pts =
         Array.of_list
           (List.map
              (fun s -> (Zp.of_int (s.Sh.index + 1), s.Sh.value))
-             (case_shares_zp rng case))
-      in
-      let pts_g =
-        Array.of_list
-          (List.map
-             (fun s -> (Gf.of_int (s.ShG.index + 1), s.ShG.value))
-             (case_shares_gf rng case))
+             (case_shares rng case))
       in
       let threshold = case.threshold in
-      equal_opt (same Zp.equal)
-        (Sh.unique_decode ~threshold pts_z)
-        (Option.map Pz.coeffs (OracleZ.berlekamp_welch_poly ~threshold pts_z))
-      && equal_opt (same Gf.equal)
-           (ShG.unique_decode ~threshold pts_g)
-           (Option.map Pg.coeffs (OracleG.berlekamp_welch_poly ~threshold pts_g)))
+      equal_opt same
+        (Sh.unique_decode ~threshold pts)
+        (Option.map P.coeffs (Decode_oracle.berlekamp_welch_poly ~threshold pts)))
 
 let prop_lagrange_eval_equiv_oracle =
-  QCheck.Test.make ~name:"Poly.lagrange_eval == reference oracle (both fields)"
+  QCheck.Test.make ~name:"Poly.lagrange_eval == reference oracle (Z_p)"
     ~count:100
     QCheck.(pair small_nat small_nat)
     (fun (a, b) ->
       let rng = Prng.create (Int64.of_int ((a * 31337) + b + 1)) in
       let k = 1 + (a mod 10) in
-      let ptsz = List.init k (fun i -> (Zp.of_int (i + 1), Zp.random rng)) in
-      let xz = Zp.random rng in
-      let ptsg = List.init k (fun i -> (Gf.of_int (i + 1), Gf.random rng)) in
-      let xg = Gf.random rng in
-      Zp.equal (Pz.lagrange_eval ptsz xz) (OracleZ.lagrange_eval ptsz xz)
-      && Gf.equal (Pg.lagrange_eval ptsg xg) (OracleG.lagrange_eval ptsg xg))
+      let pts = List.init k (fun i -> (Zp.of_int (i + 1), Zp.random rng)) in
+      let x = Zp.random rng in
+      Zp.equal (P.lagrange_eval pts x) (Decode_oracle.lagrange_eval pts x))
 
 let test_tie_yields_none_both_decoders () =
   (* threshold 1 (k = 2), m = 6: three shares on the zero line, three on
@@ -462,7 +421,7 @@ let test_tie_yields_none_both_decoders () =
   Alcotest.(check bool) "optimized ties to None" true
     (Sh.reconstruct_robust ~threshold:1 shares = None);
   Alcotest.(check bool) "oracle ties to None" true
-    (OracleZ.reconstruct_robust ~threshold:1 shares = None)
+    (Decode_oracle.reconstruct_robust ~threshold:1 shares = None)
 
 let () =
   Alcotest.run "shamir"
@@ -506,7 +465,6 @@ let () =
           Alcotest.test_case "tie yields None (both decoders)" `Quick
             test_tie_yields_none_both_decoders;
           QCheck_alcotest.to_alcotest prop_robust_equiv_oracle_zp;
-          QCheck_alcotest.to_alcotest prop_robust_equiv_oracle_gf256;
           QCheck_alcotest.to_alcotest prop_gao_equiv_bw;
           QCheck_alcotest.to_alcotest prop_lagrange_eval_equiv_oracle;
         ] );
