@@ -105,64 +105,61 @@ let equivocate_packed ~dst packed =
     Bytes.init (Bytes.length packed) (fun i ->
         Char.chr (lnot (Char.code (Bytes.get packed i)) land 0xFF))
 
-(* One round of batched vote exchange for a set of per-node ballots.
-   [ballots level node] returns (members, graph, votes-matrix) — votes are
-   per (member position, instance).  Returns the per-(node, member,
-   instance) tallies (ones, total). *)
-let vote_round comm ~behavior ~adv_rng ~level ~nodes ~members_of ~graph_of
+(* A node's ballot counts: [ones.(mp).(i)] and [totals.(mp).(i)] are the
+   ones and the ballots counted by member position [mp] on instance [i]. *)
+type tally = { ones : int array array; totals : int array array }
+
+(* One round of batched vote exchange for the ballots of nodes
+   [0 .. node_count - 1] at [level]: [members_of], [graph_of] and
+   [votes_of] give each node's members, vote graph and votes per (member
+   position, instance).  Returns the node-indexed tallies. *)
+let vote_round comm ~behavior ~adv_rng ~level ~node_count ~members_of ~graph_of
     ~votes_of ~instances_of =
   let msgs = ref [] in
-  List.iter
-    (fun node ->
-      let members = members_of node in
-      let graph = graph_of node in
-      let votes = votes_of node in
-      Array.iteri
-        (fun mp p ->
-          let packed = pack_votes votes.(mp) in
-          let payload pk = Comm.Votes { level; node; packed = pk } in
-          let send pk =
+  for node = 0 to node_count - 1 do
+    let members = members_of node in
+    let graph = graph_of node in
+    let votes = votes_of node in
+    Array.iteri
+      (fun mp p ->
+        let packed = pack_votes votes.(mp) in
+        let payload pk = Comm.Votes { level; node; packed = pk } in
+        let send pk =
+          Array.iter
+            (fun np ->
+              let e = { src = p; dst = members.(np); payload = payload pk } in
+              if Ks_sim.Net.is_corrupt (Comm.net comm) p then
+                Comm.queue_adversarial comm [ e ]
+              else msgs := e :: !msgs)
+            (Graph.neighbours graph mp)
+        in
+        if Ks_sim.Net.is_corrupt (Comm.net comm) p then begin
+          match behavior with
+          | Comm.Equivocate ->
             Array.iter
               (fun np ->
-                let e = { src = p; dst = members.(np); payload = payload pk } in
-                if Ks_sim.Net.is_corrupt (Comm.net comm) p then
-                  Comm.queue_adversarial comm [ e ]
-                else msgs := e :: !msgs)
+                let dst = members.(np) in
+                Comm.queue_adversarial comm
+                  [ { src = p; dst; payload = payload (equivocate_packed ~dst packed) } ])
               (Graph.neighbours graph mp)
-          in
-          if Ks_sim.Net.is_corrupt (Comm.net comm) p then begin
-            match behavior with
-            | Comm.Equivocate ->
-              Array.iter
-                (fun np ->
-                  let dst = members.(np) in
-                  Comm.queue_adversarial comm
-                    [ { src = p; dst; payload = payload (equivocate_packed ~dst packed) } ])
-                (Graph.neighbours graph mp)
-            | _ -> (
-              match corrupt_packed behavior adv_rng packed with
-              | Some pk -> send pk
-              | None -> ())
-          end
-          else send packed)
-        members)
-    nodes;
+          | _ -> (
+            match corrupt_packed behavior adv_rng packed with
+            | Some pk -> send pk
+            | None -> ())
+        end
+        else send packed)
+      members
+  done;
   let inboxes = Comm.exchange comm !msgs in
-  (* tallies.(node).(member).(instance) = (ones, total) *)
-  let tallies = Hashtbl.create 64 in
-  List.iter
-    (fun node ->
-      let members = members_of node in
-      let ni = instances_of node in
-      Hashtbl.replace tallies node
-        (Array.init (Array.length members) (fun _ -> Array.make ni (0, 0))))
-    nodes;
-  List.iter
-    (fun node ->
+  Array.init node_count (fun node ->
       let members = members_of node in
       let graph = graph_of node in
       let ni = instances_of node in
-      let tally = Hashtbl.find tallies node in
+      let size = Array.length members in
+      let tally =
+        { ones = Array.init size (fun _ -> Array.make ni 0);
+          totals = Array.init size (fun _ -> Array.make ni 0) }
+      in
       Array.iteri
         (fun mp p ->
           let seen = Hashtbl.create 16 in
@@ -177,20 +174,20 @@ let vote_round comm ~behavior ~adv_rng ~level ~nodes ~members_of ~graph_of
                   match Tree.position_of (Comm.tree comm) ~level ~node e.src with
                   | Some sp when Graph.adjacent graph mp sp ->
                     Hashtbl.add seen e.src ();
+                    let ones = tally.ones.(mp) and totals = tally.totals.(mp) in
                     for i = 0 to ni - 1 do
                       match unpack_vote packed i with
                       | Some v ->
-                        let ones, total = tally.(mp).(i) in
-                        tally.(mp).(i) <- ((ones + if v then 1 else 0), total + 1)
+                        if v then ones.(i) <- ones.(i) + 1;
+                        totals.(i) <- totals.(i) + 1
                       | None -> ()
                     done
                   | Some _ | None -> ()
                 end
               | _ -> ())
             inboxes.(p))
-        members)
-    nodes;
-  tallies
+        members;
+      tally)
 
 (* The tree is the root stream's first split: public, so whoever knows the
    seed (the adaptive adversary included) knows the topology. *)
@@ -304,7 +301,7 @@ let run ?(retries = 0) ?quarantine ~params ~seed ~inputs ~behavior ~strategy ?bu
         else Comm.open_ranges_view comm ~level ~ranges:coin_ranges
       in
       let tallies =
-        vote_round comm ~behavior ~adv_rng ~level ~nodes ~members_of
+        vote_round comm ~behavior ~adv_rng ~level ~node_count ~members_of
           ~graph_of:(fun j -> graphs.(j))
           ~votes_of:(fun j -> ballots.(j))
           ~instances_of
@@ -312,7 +309,7 @@ let run ?(retries = 0) ?quarantine ~params ~seed ~inputs ~behavior ~strategy ?bu
       List.iter
         (fun j ->
           let members = members_of j in
-          let tally = Hashtbl.find tallies j in
+          let tally = tallies.(j) in
           let coin_words mp =
             if i < Array.length cands_at.(j) then
               coin_view ~cand:cands_at.(j).(i) ~member:mp
@@ -323,7 +320,7 @@ let run ?(retries = 0) ?quarantine ~params ~seed ~inputs ~behavior ~strategy ?bu
               if not (Ks_sim.Net.is_corrupt net p) then begin
                 if
                   instances_of j > 0
-                  && Array.for_all (fun (_, total) -> total = 0) tally.(mp)
+                  && Array.for_all (fun total -> total = 0) tally.totals.(mp)
                 then incr quorum_shortfalls;
                 let words = coin_words mp in
                 for inst = 0 to instances_of j - 1 do
@@ -335,10 +332,10 @@ let run ?(retries = 0) ?quarantine ~params ~seed ~inputs ~behavior ~strategy ?bu
                       Some ((w.(ci) lsr b) land 1 = 1)
                     | Some _ | None -> None
                   in
-                  let ones, total = tally.(mp).(inst) in
                   ballots.(j).(mp).(inst) <-
                     Aeba_coin.update_vote ~epsilon:params.Params.epsilon ~eps0:0.05
-                      ~ones ~total ~coin ~current:ballots.(j).(mp).(inst)
+                      ~ones:tally.ones.(mp).(inst) ~total:tally.totals.(mp).(inst) ~coin
+                      ~current:ballots.(j).(mp).(inst)
                 done
               end)
             members)
