@@ -159,6 +159,75 @@ let test_adaptive_mid_run_corruption () =
   in
   Alcotest.(check bool) "survives adaptive corruption" true (r.Ae_ba.agreement >= 0.85)
 
+(* --- Ballot stuffing -------------------------------------------------------
+
+   Both vote loops (the elections' [Votes] ballots and the root [Vote]s)
+   count one ballot per graph neighbour and ignore non-neighbours and
+   quarantined senders.  n = 32, 8 corrupt members under [Follow]: in
+   every vote round each forges an all-ones ballot for every (level,
+   node) it sits in, plus a root vote for 1, and sends each to every
+   processor [copies] times.  With each sender counted once, nothing the
+   run decides may depend on [copies]. *)
+
+let stuffed ~copies =
+  let n = 32 and budget = 8 and seed = 42L in
+  let params = Params.practical n in
+  let tree = Ae_ba.tree ~params ~seed in
+  let levels = Tree.levels tree in
+  let forged src =
+    Comm.Vote { level = levels; node = 0; ba = 0; vote = true }
+    :: List.concat_map
+         (fun level ->
+           List.filter_map
+             (fun node ->
+               if Option.is_some (Tree.position_of tree ~level ~node src) then
+                 Some (Comm.Votes { level; node; packed = Bytes.make 8 '\xff' })
+               else None)
+             (List.init (Tree.node_count tree ~level) Fun.id))
+         (List.init (levels - 2) (fun l -> l + 2))
+  in
+  let is_ballot (e : Comm.payload Ks_sim.Types.envelope) =
+    match e.payload with Comm.Votes _ | Comm.Vote _ -> true | _ -> false
+  in
+  let sent = ref 0 in
+  let strategy =
+    Ks_sim.Adversary.make ~name:"ballot-stuffing"
+      ~initial_corruptions:(fun rng ~n ~budget:b ->
+        Ks_sim.Adversary.uniform_random_set rng ~n ~budget:(Stdlib.min budget b))
+      ~act:(fun view ->
+        (* A vote round is one whose good traffic carries ballots. *)
+        if not (List.exists is_ballot view.Ks_sim.Types.view_visible) then []
+        else
+          List.concat_map
+            (fun src ->
+              List.concat_map
+                (fun payload ->
+                  List.concat_map
+                    (fun dst ->
+                      sent := !sent + copies;
+                      List.init copies (fun _ -> { Ks_sim.Types.src; dst; payload }))
+                    (List.init n Fun.id))
+                (forged src))
+            view.Ks_sim.Types.view_corrupt)
+      ()
+  in
+  let r =
+    Ae_ba.run ~params ~seed ~inputs:(Array.init n (fun i -> i mod 2 = 0))
+      ~behavior:Comm.Follow ~strategy ~budget ()
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "forged ballots sent (x%d)" copies)
+    true (!sent > 0);
+  r
+
+let test_ballot_stuffing () =
+  let once = stuffed ~copies:1 and flooded = stuffed ~copies:20 in
+  Alcotest.(check (array bool)) "votes" once.Ae_ba.votes flooded.Ae_ba.votes;
+  Alcotest.(check (float 0.0)) "agreement" once.Ae_ba.agreement flooded.Ae_ba.agreement;
+  Alcotest.(check (list (array int))) "election winners"
+    (List.map (fun (e : Ae_ba.election_stats) -> e.winners) once.Ae_ba.elections)
+    (List.map (fun (e : Ae_ba.election_stats) -> e.winners) flooded.Ae_ba.elections)
+
 let () =
   Alcotest.run "ae_ba"
     [
@@ -177,5 +246,6 @@ let () =
           Alcotest.test_case "deterministic" `Slow test_deterministic_given_seed;
           Alcotest.test_case "half policy" `Slow test_half_policy_still_works_at_quarter;
           Alcotest.test_case "adaptive corruption" `Slow test_adaptive_mid_run_corruption;
+          Alcotest.test_case "ballot stuffing" `Slow test_ballot_stuffing;
         ] );
     ]
